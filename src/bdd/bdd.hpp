@@ -633,6 +633,7 @@ class BddManager {
   // structural-walk scratch: a per-manager visit-stamp array so nodeCount
   // and sharedNodeCount run without hashing or per-call clearing. A walk
   // bumps the epoch; a node is visited iff its stamp equals the epoch.
+  // satDensity borrows the array as its memo index and zeroes what it wrote.
   // Not safe for concurrent walks: shared-phase callers serialize on
   // visitMu_ (the count queries are off the hot path).
   [[nodiscard]] uint32_t beginVisit() const;
@@ -667,7 +668,7 @@ class BddManager {
   uint64_t retiredLookups_ = 0, retiredHits_ = 0, retiredCreated_ = 0;
   uint64_t retiredAged_ = 0;
 
-  mutable std::vector<uint32_t> visitStamp_;  ///< nodeCount walk scratch
+  mutable std::vector<uint32_t> visitStamp_;  ///< nodeCount/satDensity scratch
   mutable uint32_t visitEpoch_ = 0;
   mutable std::mutex visitMu_;  ///< guards the walk scratch in a shared phase
 

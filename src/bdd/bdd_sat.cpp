@@ -8,7 +8,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>  // toDot only
 
 namespace hsis {
@@ -52,25 +51,51 @@ double BddManager::satDensity(uint32_t rootEdge, std::vector<char>& inSupp) {
   // all assignments (over any space covering the support) that satisfy it.
   // Level-independent — each node contributes 0.5*(lo + hi) regardless of
   // how many levels its children skip — which is why the caller must check
-  // that the requested space actually covers the support. The density is
-  // memoized per *node*; a complemented edge reads 1 - d, so f and !f
-  // share the memo table. Support variables are marked as a side effect,
-  // giving the caller the validity check for free (same walk).
-  std::unordered_map<uint32_t, double> memo;
+  // that the requested space actually covers the support. Each polarity
+  // of a node is memoized on its own and summed from the children's
+  // densities of the same polarity: reading a complemented edge as 1 - d
+  // would round every sparse complement (d close to 1) to a few ulps of
+  // garbage. Support variables are marked as a side effect, giving the
+  // caller the validity check for free (same walk).
+  //
+  // The memo is a sparse set: one entry per visited node, found through
+  // the node-indexed visitStamp_ array, valid iff it points back at the
+  // node. Borrowing the nodeCount scratch adds no per-node memory; the
+  // stamps written are reset to 0, an epoch beginVisit() never issues.
+  constexpr double kUnset = -1.0;
+  struct Entry {
+    uint32_t node;
+    double density[2];  ///< [regular edge, complemented edge]
+  };
+  std::vector<Entry> memo;
+  std::lock_guard<std::mutex> lk(visitMu_);
+  if (visitStamp_.size() < arenaEnd()) visitStamp_.resize(arenaEnd(), 0);
+  struct ResetStamps {
+    std::vector<uint32_t>& stamps;
+    const std::vector<Entry>& memo;
+    ~ResetStamps() {
+      for (const Entry& en : memo) stamps[en.node] = 0;
+    }
+  } reset{visitStamp_, memo};
   auto rec = [&](auto&& self, uint32_t e) -> double {
     uint32_t n = eIdx(e);
-    bool neg = eIsNeg(e);
-    if (isTerm(n)) return neg ? 0.0 : 1.0;
-    double d;
-    auto it = memo.find(n);
-    if (it != memo.end()) {
-      d = it->second;
-    } else {
+    uint32_t sign = eSign(e);
+    if (isTerm(n)) return sign != 0 ? 0.0 : 1.0;
+    uint32_t slot = visitStamp_[n];
+    if (slot >= memo.size() || memo[slot].node != n) {
+      slot = static_cast<uint32_t>(memo.size());
+      memo.push_back({n, {kUnset, kUnset}});
+      visitStamp_[n] = slot;
       inSupp[nodes_[n].var] = 1;
-      d = 0.5 * (self(self, nodes_[n].lo) + self(self, nodes_[n].hi));
-      memo.emplace(n, d);
     }
-    return neg ? 1.0 - d : d;
+    const int pol = sign != 0 ? 1 : 0;
+    if (memo[slot].density[pol] == kUnset) {
+      // No reference into memo across the recursion: it may reallocate.
+      double d = 0.5 * (self(self, nodes_[n].lo ^ sign) +
+                        self(self, nodes_[n].hi ^ sign));
+      memo[slot].density[pol] = d;
+    }
+    return memo[slot].density[pol];
   };
   return rec(rec, rootEdge);
 }

@@ -1,6 +1,7 @@
 #include "ctl/mc.hpp"
 
 #include <cstdlib>
+#include <span>
 #include <stdexcept>
 
 #include "obs/control.hpp"
@@ -13,7 +14,6 @@ CtlChecker::CtlChecker(const Fsm& fsm, const TransitionRelation& tr,
                        std::vector<Bdd> fairnessConstraints, McOptions options)
     : fsm_(&fsm), tr_(&tr), fair_(std::move(fairnessConstraints)), opts_(options) {
   if (fair_.empty()) fair_.push_back(fsm.mgr().bddOne());
-  activeTr_ = tr_;
   // Coverage's frontier series folds to a no-op in disabled builds and
   // under the HSIS_COV_DISABLE runtime toggle.
   opts_.recordFrontierStates = opts_.recordFrontierStates && obs::kEnabled &&
@@ -30,11 +30,8 @@ const Bdd& CtlChecker::reached() {
     reached_ = r.reached;
     onionRings_ = std::move(r.onionRings);
     frontierStates_ = std::move(r.frontierStates);
+    reachDepth_ = r.depth;
     stats_.reachabilitySteps = r.depth;
-    if (opts_.useReachedDontCares) {
-      minimizedTr_ = tr_->minimized(reached_);
-      activeTr_ = &*minimizedTr_;
-    }
   }
   return reached_;
 }
@@ -48,18 +45,24 @@ void CtlChecker::seedReachability(Bdd reached, std::vector<Bdd> onionRings,
   reached_ = std::move(reached);
   onionRings_ = std::move(onionRings);
   frontierStates_ = std::move(frontierStates);
+  reachDepth_ = steps;
   stats_.reachabilitySteps = steps;
-  if (opts_.useReachedDontCares) {
+}
+
+const TransitionRelation& CtlChecker::activeTr() {
+  if (!opts_.useReachedDontCares || reached_.isNull()) return *tr_;
+  if (!minimizedTr_) {
+    obs::Span span("ctl.dc_tr");
     minimizedTr_ = tr_->minimized(reached_);
-    activeTr_ = &*minimizedTr_;
   }
+  return *minimizedTr_;
 }
 
 Bdd CtlChecker::preimage(const Bdd& s) {
   ++stats_.preimageCalls;
   static obs::Counter& calls = obs::counter("ctl.preimage.calls");
   calls.add();
-  return activeTr_->preimage(s);
+  return activeTr().preimage(s);
 }
 
 Bdd CtlChecker::eu(const Bdd& p, const Bdd& q) {
@@ -170,62 +173,58 @@ Bdd CtlChecker::statesRec(const CtlFormula& f) {
 Bdd CtlChecker::states(const CtlRef& formula) { return statesRec(*formula); }
 
 McResult CtlChecker::checkInvariantEarly(const CtlRef& formula) {
-  // AG p with propositional p: check p on every frontier and stop at the
-  // first violation — Early Failure Detection, technique 1.
+  // AG p with propositional p: the verdict is whether some BFS frontier
+  // (onion ring) meets !p, and the counterexample backtracks from the first
+  // one that does — Early Failure Detection, technique 1. With the reached
+  // set resident the rings already exist and no image is computed; without
+  // it the frontiers are built live and the run stops at the first
+  // violating one.
   McResult res;
   Bdd p = evalPropositional(formula->left);
   Bdd notP = !p;
 
-  std::vector<Bdd> rings;
-  Bdd violating;
-  ReachOptions ro;
-  ro.keepOnionRings = false;
-  ro.watch = [&](const Bdd& frontier, size_t) {
-    rings.push_back(frontier);
-    Bdd bad = frontier & notP;
-    if (!bad.isZero()) {
-      violating = bad;
-      return true;
-    }
-    return false;
-  };
-  ReachResult rr = reachableStates(*tr_, fsm_->initialStates(), ro);
-  stats_.reachabilitySteps = rr.depth;
-  res.stats = stats_;
-  if (violating.isNull()) {
-    res.holds = true;
-    // The full reachable set came out of the EFD run; keep it.
-    if (reached_.isNull()) {
+  std::vector<Bdd> liveRings;
+  bool violated;
+  if (!reached_.isNull()) {
+    violated = !(reached_ & notP).isZero();
+  } else {
+    ReachOptions ro;
+    ro.watch = [&](const Bdd& frontier, size_t) {
+      liveRings.push_back(frontier);
+      return !(frontier & notP).isZero();
+    };
+    ReachResult rr = reachableStates(*tr_, fsm_->initialStates(), ro);
+    violated = rr.stoppedEarly;
+    if (!violated) {
+      // The full reachable set came out of the EFD run; keep it.
       reached_ = rr.reached;
-      onionRings_ = std::move(rings);
-      if (opts_.useReachedDontCares) {
-        minimizedTr_ = tr_->minimized(reached_);
-        activeTr_ = &*minimizedTr_;
-      }
+      onionRings_ = std::move(liveRings);
+      reachDepth_ = rr.depth;
     }
-    res.satisfying = rr.reached & p;
+  }
+  res.stats = stats_;
+  if (!violated) {
+    res.holds = true;
+    res.stats.reachabilitySteps = reachDepth_;
+    res.satisfying = reached_ & p;
     return res;
   }
   res.holds = false;
   res.stats.usedEarlyFailure = true;
+  // The rings up to and including the first one meeting !p.
+  std::span<const Bdd> rings = liveRings;
+  if (!reached_.isNull()) {
+    size_t k = 0;
+    while (k < onionRings_.size() && (onionRings_[k] & notP).isZero()) ++k;
+    rings = std::span<const Bdd>(onionRings_).first(
+        k < onionRings_.size() ? k + 1 : 0);
+  }
+  res.stats.reachabilitySteps = rings.empty() ? reachDepth_ : rings.size() - 1;
   if (opts_.wantTrace) {
-    // Shortest path: backtrack through the rings we already have.
-    TransitionRelation const& tr = *tr_;
-    const Fsm& fsm = *fsm_;
-    Trace trace;
-    std::vector<std::vector<int8_t>> rev;
-    std::vector<int8_t> curAssign = concretizeState(fsm, violating);
-    Bdd cur = fsm.stateFromValues(fsm.decodeState(curAssign));
-    rev.push_back(curAssign);
-    for (size_t k = rings.size() - 1; k-- > 0;) {
-      Bdd prev = rings[k] & tr.preimage(cur);
-      curAssign = concretizeState(fsm, prev);
-      cur = fsm.stateFromValues(fsm.decodeState(curAssign));
-      rev.push_back(curAssign);
-    }
-    for (size_t i = rev.size(); i-- > 0;) trace.states.push_back(rev[i]);
-    attachInputs(fsm, trace);
-    res.counterexample = std::move(trace);
+    res.counterexample =
+        rings.empty()
+            ? shortestPathTo(*tr_, fsm_->initialStates(), reached_ & notP)
+            : traceThroughRings(*tr_, rings, notP);
   }
   return res;
 }

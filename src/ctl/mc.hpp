@@ -1,6 +1,12 @@
 // Fair CTL model checking [15] with Emerson-Lei fair-cycle computation [10],
 // reachability don't-cares, and early failure detection for invariants
 // (paper Section 5.4, technique 1).
+//
+// Every product of the reachability fixpoint is computed at most once per
+// checker: the reached set and its onion rings (reached(), or adopted via
+// seedReachability()), and the restrict-minimized don't-care TR, which is
+// built on the first preimage() that needs it. Once the reached set exists,
+// an invariant AG p is decided on it without another fixpoint.
 #pragma once
 
 #include <chrono>
@@ -36,6 +42,9 @@ struct McStats {
   size_t preimageCalls = 0;
   size_t fixpointIterations = 0;
   size_t reachabilitySteps = 0;
+  /// The invariant failed and its verdict came from the first onion ring
+  /// meeting !p (a live early-exit run or the stored rings), not from the
+  /// EF !p fixpoint of the EFD-off path.
   bool usedEarlyFailure = false;
   double seconds = 0.0;
 };
@@ -72,9 +81,9 @@ class CtlChecker {
   /// Adopt an already-computed reachability result instead of running the
   /// fixpoint (the parallel batch scheduler computes it once on the primary
   /// checker and seeds every replica with the transferred copy). Leaves the
-  /// checker in exactly the state a reached() call would: don't-care
-  /// minimization included. Must be called before any check on this
-  /// instance; throws std::logic_error once reachability exists.
+  /// checker in exactly the state a reached() call would. Must be called
+  /// before any check on this instance; throws std::logic_error once
+  /// reachability exists.
   void seedReachability(Bdd reached, std::vector<Bdd> onionRings,
                         std::vector<double> frontierStates, size_t steps);
   /// Onion rings of the reachability fixpoint (empty unless wantTrace kept
@@ -108,6 +117,10 @@ class CtlChecker {
  private:
   Bdd statesRec(const CtlFormula& f);
   McResult checkInvariantEarly(const CtlRef& formula);
+  /// The TR preimages run on: the don't-care minimized relation once the
+  /// reached set exists and don't-cares are on (built here on first use,
+  /// inside the `ctl.dc_tr` span), the design TR otherwise.
+  const TransitionRelation& activeTr();
 
   const Fsm* fsm_;
   const TransitionRelation* tr_;
@@ -115,9 +128,9 @@ class CtlChecker {
   McOptions opts_;
 
   std::optional<TransitionRelation> minimizedTr_;
-  const TransitionRelation* activeTr_ = nullptr;
   Bdd reached_;
   std::vector<Bdd> onionRings_;
+  size_t reachDepth_ = 0;  ///< BFS depth of the reachability fixpoint
   std::vector<double> frontierStates_;
   Bdd fairStates_;
   bool fairStatesComputed_ = false;

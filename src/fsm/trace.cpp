@@ -155,7 +155,6 @@ void attachInputs(const Fsm& fsm, Trace& trace) {
 
 std::optional<Trace> shortestPathTo(const TransitionRelation& tr,
                                     const Bdd& init, const Bdd& target) {
-  const Fsm& fsm = tr.fsm();
   if (init.isZero()) return std::nullopt;
 
   std::vector<Bdd> rings{init};
@@ -167,6 +166,12 @@ std::optional<Trace> shortestPathTo(const TransitionRelation& tr,
     rings.push_back(next);
   }
 
+  return traceThroughRings(tr, rings, target);
+}
+
+Trace traceThroughRings(const TransitionRelation& tr,
+                        std::span<const Bdd> rings, const Bdd& target) {
+  const Fsm& fsm = tr.fsm();
   size_t d = rings.size() - 1;
   Trace trace;
   std::vector<std::vector<int8_t>> rev;

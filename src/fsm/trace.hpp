@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fsm/image.hpp"
@@ -38,6 +39,12 @@ std::vector<int8_t> concretizeState(const Fsm& fsm, const Bdd& set);
 /// paths from init (BFS onion rings).
 std::optional<Trace> shortestPathTo(const TransitionRelation& tr,
                                     const Bdd& init, const Bdd& target);
+
+/// Backtrack a shortest path through BFS onion rings (rings[0] the initial
+/// states, rings[d + 1] the states first reached at depth d + 1) whose last
+/// ring meets `target`: the trace ends in a state of that intersection.
+Trace traceThroughRings(const TransitionRelation& tr,
+                        std::span<const Bdd> rings, const Bdd& target);
 
 /// Find a fair lasso: a minimal-prefix path from `init` into the fair hull
 /// `Z`, followed by a heuristically short cycle inside Z that visits every

@@ -43,6 +43,7 @@ Session::~Session() = default;
 
 void Session::resetMachine() {
   checker_.reset();
+  coverage_.reset();
   tr_.reset();
   fsm_.reset();
   mgr_.reset();
@@ -154,10 +155,16 @@ std::string Session::checkerKey() const {
   return key;
 }
 
+void Session::dropStaleChecker() {
+  if (checker_ != nullptr && builtCheckerKey_ != checkerKey()) {
+    checker_.reset();
+    coverage_.reset();
+  }
+}
+
 void Session::setFairness(const FairnessSpec& fairness) {
   fairness_ = fairness;
-  if (checker_ != nullptr && builtCheckerKey_ != checkerKey())
-    checker_.reset();
+  dropStaleChecker();
 }
 
 void Session::addFairness(const FairnessSpec& fairness) {
@@ -168,15 +175,13 @@ void Session::addFairness(const FairnessSpec& fairness) {
   fairness_.fairEdges.insert(fairness_.fairEdges.end(),
                              fairness.fairEdges.begin(),
                              fairness.fairEdges.end());
-  if (checker_ != nullptr && builtCheckerKey_ != checkerKey())
-    checker_.reset();
+  dropStaleChecker();
 }
 
 void Session::setWantTraces(bool want) {
   if (opts_.wantTraces == want) return;
   opts_.wantTraces = want;
-  if (checker_ != nullptr && builtCheckerKey_ != checkerKey())
-    checker_.reset();
+  dropStaleChecker();
 }
 
 const Fsm& Session::fsm() {
@@ -244,10 +249,15 @@ double Session::reachedStates() {
 
 cov::Report Session::coverage(cov::Options options) {
   CtlChecker& mc = checker();
+  const bool defaults = options.points.empty() && options.simMaxStates == 0 &&
+                        options.frontierNewStates.empty();
+  if (defaults && coverage_.has_value()) return *coverage_;
   const Bdd& reached = mc.reached();  // cached fixpoint
   if (options.frontierNewStates.empty())
     options.frontierNewStates = mc.frontierNewStates();
-  return cov::analyze(*fsm_, *tr_, reached, options);
+  cov::Report rep = cov::analyze(*fsm_, *tr_, reached, options);
+  if (defaults) coverage_ = rep;
+  return rep;
 }
 
 BugReport Session::checkCtl(const std::string& name, const CtlRef& formula) {

@@ -134,6 +134,8 @@ class Session {
   /// Coverage analysis of the reachable state set (hsis_cov). Reuses the
   /// checker's cached fixpoint and its frontier series; returns a
   /// valid-empty disabled report under HSIS_OBS_DISABLE/HSIS_COV_DISABLE.
+  /// The default-options report (the hsis_serve path) is memoized for the
+  /// resident checker and dropped with it.
   cov::Report coverage(cov::Options options = {});
   [[nodiscard]] size_t linesVerilog() const { return linesVerilog_; }
   [[nodiscard]] size_t linesBlifMv() const { return linesBlifMv_; }
@@ -145,6 +147,9 @@ class Session {
  private:
   std::vector<Bdd> ctlFairnessSets();
   [[nodiscard]] std::string checkerKey() const;
+  /// Drop the checker (and what is derived from it) when the fairness or
+  /// trace settings no longer match the key it was built with.
+  void dropStaleChecker();
   void resetMachine();
 
   Options opts_;
@@ -164,6 +169,7 @@ class Session {
   std::optional<TransitionRelation> tr_;
   std::unique_ptr<CtlChecker> checker_;
   std::string builtCheckerKey_;  ///< fairness+options key checker_ embodies
+  std::optional<cov::Report> coverage_;  ///< default-options coverage(), per checker_
 };
 
 }  // namespace hsis

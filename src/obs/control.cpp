@@ -547,7 +547,7 @@ namespace {
 
 /// Remove argv[i..i+n) and shift the rest down (argv stays NULL-terminated).
 void eraseArgs(int& argc, char** argv, int i, int n) {
-  for (int j = i; j + n <= argc; ++j) argv[j] = argv[j + n];
+  for (int j = i; j + n < argc; ++j) argv[j] = argv[j + n];
   argc -= n;
   argv[argc] = nullptr;
 }

@@ -49,8 +49,9 @@ struct Replica {
   std::vector<Bdd> onionRings;
   std::vector<double> frontierStates;
   size_t reachSteps = 0;
-  /// Built on the worker thread (don't-care minimization of the seeded
-  /// reached set runs there, concurrently across replicas).
+  /// Built on the worker thread (the don't-care minimization of the seeded
+  /// reached set, made on the first preimage, runs there concurrently
+  /// across replicas).
   std::unique_ptr<CtlChecker> checker;
 };
 
@@ -86,7 +87,7 @@ std::unique_ptr<Replica> buildReplica(Session& session, CtlChecker& primary,
 }
 
 /// The per-worker half of replica setup: checker construction plus
-/// reachability seeding (which runs the don't-care TR minimization).
+/// reachability seeding.
 void finishReplica(Replica& rep, const Session::Options& opts) {
   McOptions mo;
   mo.earlyFailureDetection = opts.earlyFailureDetection;

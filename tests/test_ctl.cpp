@@ -1,8 +1,14 @@
 // Tests for the CTL parser and the fair CTL model checker.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string_view>
+
 #include "blifmv/blifmv.hpp"
 #include "ctl/mc.hpp"
+#include "models/models.hpp"
+#include "obs/obs.hpp"
+#include "pif/pif.hpp"
 #include "vl2mv/vl2mv.hpp"
 
 namespace hsis {
@@ -183,6 +189,126 @@ TEST_F(McFixture, StatsPopulated) {
   EXPECT_TRUE(r.holds);
   EXPECT_GT(r.stats.preimageCalls + r.stats.reachabilitySteps, 0u);
   EXPECT_GE(r.stats.seconds, 0.0);
+}
+
+// ----------------------------------------------------------- compute-once
+//
+// Once the reached set exists, an invariant is decided on it and its onion
+// rings: no second fixpoint, and the same result as the live early-failure
+// run of a fresh checker. The registry reads are 0 in HSIS_OBS_DISABLE
+// builds, where the "no fixpoint" assertions hold trivially.
+
+uint64_t reachIterations() {
+  return obs::counter("fsm.reach.iterations").value();
+}
+
+size_t spansNamed(std::string_view name) {
+  size_t n = 0;
+  for (const obs::SpanSample& s : obs::Tracer::instance().completed())
+    n += s.name == name ? 1 : 0;
+  return n;
+}
+
+void expectSameResult(const McResult& got, const McResult& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.holds, want.holds) << what;
+  EXPECT_EQ(got.stats.usedEarlyFailure, want.stats.usedEarlyFailure) << what;
+  ASSERT_EQ(got.satisfying.isNull(), want.satisfying.isNull()) << what;
+  if (!want.satisfying.isNull()) EXPECT_EQ(got.satisfying, want.satisfying) << what;
+  ASSERT_EQ(got.counterexample.has_value(), want.counterexample.has_value())
+      << what;
+  if (want.counterexample.has_value())
+    EXPECT_EQ(got.counterexample->states, want.counterexample->states) << what;
+}
+
+const char* const kLoopInvariants[] = {"AG (s=0 | s=1 | s=2 | s=3)",
+                                       "AG s!=3", "AG s!=1", "AG s!=0"};
+
+TEST_F(McFixture, InvariantsReuseTheReachedSet) {
+  for (bool wantTrace : {true, false}) {
+    McOptions opts;
+    opts.wantTrace = wantTrace;
+    CtlChecker resident(*fsm, *tr, {}, opts);
+    (void)resident.reached();
+    for (const char* f : kLoopInvariants) {
+      const std::string what = std::string(f) + (wantTrace ? "" : " (no trace)");
+      McResult live = check(f, {}, opts);  // fresh checker: live EFD run
+      const uint64_t before = reachIterations();
+      McResult reused = resident.check(parseCtl(f));
+      EXPECT_EQ(reachIterations(), before) << what;
+      expectSameResult(reused, live, what);
+    }
+  }
+}
+
+TEST_F(McFixture, SeededCheckerReusesTheReachedSet) {
+  CtlChecker primary(*fsm, *tr);
+  (void)primary.reached();
+  ASSERT_FALSE(primary.onionRings().empty());
+  for (bool keepRings : {true, false}) {
+    // Without rings a wanted trace falls back to a shortest-path search;
+    // it must find the same path.
+    CtlChecker replica(*fsm, *tr);
+    replica.seedReachability(
+        primary.reached(),
+        keepRings ? primary.onionRings() : std::vector<Bdd>{},
+        primary.frontierNewStates(), primary.lastStats().reachabilitySteps);
+    for (const char* f : kLoopInvariants) {
+      const std::string what = std::string(f) + (keepRings ? "" : " (no rings)");
+      McResult live = check(f);
+      const uint64_t before = reachIterations();
+      McResult seeded = replica.check(parseCtl(f));
+      if (keepRings) EXPECT_EQ(reachIterations(), before) << what;
+      expectSameResult(seeded, live, what);
+    }
+  }
+}
+
+TEST_F(McFixture, DontCareTrBuiltOnFirstPreimage) {
+  const char* temporal[] = {"EF s=3", "AF s=3", "EG s!=3", "A[s!=3 U s=2]",
+                            "AG (s=1 -> EX s=2)"};
+  // Reference verdicts from fresh checkers with the default options.
+  std::map<std::string, bool> want;
+  for (const char* f : kLoopInvariants) want[f] = check(f).holds;
+  for (const char* f : temporal) want[f] = check(f).holds;
+  for (bool dontCares : {true, false}) {
+    McOptions opts;
+    opts.useReachedDontCares = dontCares;
+    obs::Tracer::instance().clear();
+    CtlChecker mc(*fsm, *tr, {}, opts);
+    (void)mc.reached();
+    for (const char* f : kLoopInvariants)
+      EXPECT_EQ(mc.check(parseCtl(f)).holds, want[f]) << f;
+    EXPECT_EQ(mc.lastStats().preimageCalls, 0u);
+    EXPECT_EQ(spansNamed("ctl.dc_tr"), 0u);  // invariants only: never built
+    for (const char* f : temporal)
+      EXPECT_EQ(mc.check(parseCtl(f)).holds, want[f]) << f;
+    EXPECT_GT(mc.lastStats().preimageCalls, 0u);
+    EXPECT_EQ(spansNamed("ctl.dc_tr"), obs::kEnabled && dontCares ? 1u : 0u);
+  }
+}
+
+// Every invariant of the bundled models, decided on a resident reached set,
+// matches the live early-failure run (philos's no_deadlock fails early).
+TEST(CtlComputeOnce, BundledInvariantsMatchTheLiveRun) {
+  for (const models::ModelDef& m : models::all()) {
+    blifmv::Model flat = blifmv::flatten(
+        vl2mv::compile(std::string(m.verilog), std::string(m.top)));
+    BddManager mgr;
+    Fsm fsm(mgr, flat);
+    TransitionRelation tr = TransitionRelation::partitioned(fsm);
+    CtlChecker resident(fsm, tr);
+    (void)resident.reached();
+    for (const PifProperty& p : parsePif(std::string(m.pif)).properties) {
+      if (p.kind != PifProperty::Kind::Ctl || !p.ctl->isInvariant()) continue;
+      const std::string what = std::string(m.name) + "/" + p.name;
+      McResult live = CtlChecker(fsm, tr).check(p.ctl);
+      const uint64_t before = reachIterations();
+      McResult reused = resident.check(p.ctl);
+      EXPECT_EQ(reachIterations(), before) << what;
+      expectSameResult(reused, live, what);
+    }
+  }
 }
 
 // Deadlock handling: states without successors have no infinite path, so

@@ -362,8 +362,9 @@ TEST(ProfCli, StripRecognizesProfileFlags) {
   const char* raw[] = {"prog",           "--profile-out", "out/myprof",
                        "--profile-interval-ms", "5",      "design.v"};
   int argc = 6;
-  char* argv[6];
+  char* argv[7];  // NULL-terminated, like a real argv
   for (int i = 0; i < argc; ++i) argv[i] = const_cast<char*>(raw[i]);
+  argv[argc] = nullptr;
 
   ObsCliOptions opts = stripObsCliFlags(argc, argv);
   EXPECT_TRUE(opts.profile);
@@ -377,8 +378,9 @@ TEST(ProfCli, StripRecognizesProfileFlags) {
 TEST(ProfCli, BareProfileFlagUsesDefaults) {
   const char* raw[] = {"prog", "--profile"};
   int argc = 2;
-  char* argv[2];
+  char* argv[3];  // NULL-terminated, like a real argv
   for (int i = 0; i < argc; ++i) argv[i] = const_cast<char*>(raw[i]);
+  argv[argc] = nullptr;
 
   ObsCliOptions opts = stripObsCliFlags(argc, argv);
   EXPECT_TRUE(opts.profile);

@@ -8,6 +8,7 @@
 #include "hsis/session.hpp"
 #include "models/models.hpp"
 #include "obs/control.hpp"
+#include "obs/obs.hpp"
 #include "obs/prof.hpp"
 
 namespace {
@@ -132,6 +133,41 @@ TEST(Session, AbortDuringBuildLeavesSessionEmpty) {
   EXPECT_TRUE(s.load(modelSource("scheduler")));
   s.build();
   EXPECT_TRUE(s.resident());
+}
+
+TEST(Session, CoverageIsMemoizedPerResidentChecker) {
+  auto analyzeRuns = [] {
+    size_t n = 0;
+    for (const obs::SpanSample& s : obs::Tracer::instance().completed())
+      n += s.name == "cov.analyze" ? 1 : 0;
+    return n;
+  };
+  const size_t once = obs::kEnabled ? 1 : 0;  // disabled: never analyzed
+  Session s;
+  ASSERT_TRUE(s.load(modelSource("philos")));
+  s.build();
+  PifFile pif = modelPif("philos");
+  ASSERT_FALSE(pif.fairness.buchi.empty() && pif.fairness.noStay.empty() &&
+               pif.fairness.fairEdges.empty());
+  s.setFairness(pif.fairness);
+  obs::Tracer::instance().clear();
+
+  const std::string first = cov::reportToJson(s.coverage());
+  EXPECT_EQ(cov::reportToJson(s.coverage()), first);
+  EXPECT_EQ(analyzeRuns(), once);
+
+  // Non-default options are analyzed afresh and leave the memo alone.
+  cov::Options sim;
+  sim.simMaxStates = 100;
+  (void)s.coverage(sim);
+  EXPECT_EQ(analyzeRuns(), 2 * once);
+  EXPECT_EQ(cov::reportToJson(s.coverage()), first);
+  EXPECT_EQ(analyzeRuns(), 2 * once);
+
+  // A new checker key drops the memo with the checker.
+  s.setFairness(FairnessSpec{});
+  EXPECT_EQ(cov::reportToJson(s.coverage()), first);
+  EXPECT_EQ(analyzeRuns(), 3 * once);
 }
 
 TEST(Session, TwoConcurrentSessionsStayIndependent) {
