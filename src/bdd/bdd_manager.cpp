@@ -1,9 +1,5 @@
 // Node arena, unique table, computed cache, reference counting, and
 // mark-and-sweep garbage collection with a cache keep-alive sweep.
-//
-// The shared-phase machinery (thread contexts, CAS insertion, the
-// stop-the-world protocol) lives in bdd_concurrent.cpp; this file is the
-// serial core plus the structural passes (GC, census) that both modes share.
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
@@ -61,14 +57,9 @@ BddManager::BddManager(uint32_t numVars)
   for (uint32_t i = 0; i < numVars; ++i) newVar();
 }
 
-BddManager::~BddManager() {
-  assert(!sharedMode_ && "destroying a BddManager while in a shared phase");
-  flushObs(mainCtx_);
-  for (auto& c : workerCtxs_) flushObs(*c);
-}
+BddManager::~BddManager() { flushObs(mainCtx_); }
 
 BddVar BddManager::newVar() {
-  assert(!sharedMode_ && "newVar during a shared phase is not supported");
   BddVar v = static_cast<BddVar>(perm_.size());
   perm_.push_back(v);
   invPerm_.push_back(v);
@@ -116,7 +107,6 @@ uint32_t BddManager::mkNode(BddVar var, uint32_t lo, uint32_t hi) {
     lo = eNot(lo);
     hi = eNot(hi);
   }
-  if (sharedMode_) return mkNodeShared(ctx(), var, lo, hi) | outSign;
   uint32_t bucket = uniqueBucketOf(var, lo, hi, uniqueMask_);
   for (uint32_t n = uniqueTable_[bucket]; n != kNil; n = nodes_[n].next) {
     const Node& nd = nodes_[n];
@@ -146,9 +136,8 @@ uint32_t BddManager::mkNode(BddVar var, uint32_t lo, uint32_t hi) {
 }
 
 void BddManager::growCache(ThreadCtx& tc) {
-  // The cache is private to `tc`, so growth needs no coordination even in a
-  // shared phase — only the owner's outstanding probes are invalidated, and
-  // they rehash via the generation check.
+  // Outstanding probes of the recursion in progress are invalidated; they
+  // rehash via the generation check.
   std::vector<CacheSet> old = std::move(tc.cache);
   tc.cache.assign(old.size() * 2, CacheSet{});
   tc.cacheMask = static_cast<uint32_t>(tc.cache.size() - 1);
@@ -216,62 +205,36 @@ void BddManager::growUnique() {
 }
 
 void BddManager::maybeGcOrSift() {
-  ThreadCtx& tc = ctx();
-  if (tc.opDepth > 0) return;
+  if (mainCtx_.opDepth > 0) return;
   // Cooperative cancellation point: we are at a public-op boundary with no
   // raw node indices live on any recursion stack, so unwinding here cannot
   // corrupt manager state.
   obs::checkAbort();
-  if (!sharedMode_) {
-    // Census rendezvous with the sampling profiler: it raised a flag from
-    // its own thread; we answer here, where nothing is mid-mutation, so the
-    // sampler never reads manager structures concurrently. One relaxed load
-    // when no profiler is running.
-    if (obs::prof::censusRequested()) obs::prof::publishCensus(census());
-    if (nodes_.size() - freeList_.size() > gcThreshold_) {
-      size_t freed = gcImpl();
-      size_t live = nodes_.size() - freeList_.size();
-      if (freed < live / 3) {
-        gcThreshold_ = live * 2;
-        HSIS_LOG_DEBUG("bdd.gc", "sweep reclaimed little, threshold raised",
-                       {{"freed", freed},
-                        {"live", live},
-                        {"threshold", gcThreshold_}});
-      } else {
-        HSIS_LOG_DEBUG("bdd.gc", "sweep complete",
-                       {{"freed", freed}, {"live", live}});
-      }
-    }
-    return;
-  }
-  // Shared phase: both the census rendezvous and GC are deep stop-the-world
-  // events — any one worker at an op boundary can win the election and run
-  // them; losers just continue (the winner is doing the work, and a new op
-  // entry parks until it finishes). The coordinator itself must skip these
-  // triggers or gc() inside sift() would try to elect twice.
-  if (tc.stwCoordinator) return;
-  if (obs::prof::censusRequested()) {
-    stwDeepRun(tc, [&] {
-      if (obs::prof::censusRequested()) obs::prof::publishCensus(census());
-    });
-  }
-  if (approxLive() > gcThreshold_) {
-    stwDeepRun(tc, [&] {
-      size_t live = approxLive();
-      if (live <= gcThreshold_) return;  // someone collected before us
-      size_t freed = gcImpl();
-      live = approxLive();
-      if (freed < live / 3) gcThreshold_ = live * 2;
-      HSIS_LOG_DEBUG("bdd.gc", "shared sweep complete",
+  // Census rendezvous with the sampling profiler: it raised a flag from
+  // its own thread; we answer here, where nothing is mid-mutation, so the
+  // sampler never reads manager structures concurrently. One relaxed load
+  // when no profiler is running.
+  if (obs::prof::censusRequested()) obs::prof::publishCensus(census());
+  if (nodes_.size() - freeList_.size() > gcThreshold_) {
+    size_t freed = gc();
+    size_t live = nodes_.size() - freeList_.size();
+    if (freed < live / 3) {
+      gcThreshold_ = live * 2;
+      HSIS_LOG_DEBUG("bdd.gc", "sweep reclaimed little, threshold raised",
+                     {{"freed", freed},
+                      {"live", live},
+                      {"threshold", gcThreshold_}});
+    } else {
+      HSIS_LOG_DEBUG("bdd.gc", "sweep complete",
                      {{"freed", freed}, {"live", live}});
-    });
+    }
   }
 }
 
 void BddManager::flushObs(ThreadCtx& tc) {
-  // Satellite of the threading work: these adds land on relaxed atomics in
-  // the obs registry, so a flush racing another thread's flush (or a reader
-  // snapshotting the registry) is race-free by construction.
+  // These adds land on relaxed atomics in the obs registry, so managers
+  // flushing from different threads (or a reader snapshotting the
+  // registry) are race-free by construction.
   obsCacheLookups_.add(tc.cacheLookups - tc.flushedLookups);
   tc.flushedLookups = tc.cacheLookups;
   obsCacheHits_.add(tc.cacheHits - tc.flushedHits);
@@ -280,31 +243,15 @@ void BddManager::flushObs(ThreadCtx& tc) {
   tc.flushedAged = tc.cacheAged;
   obsNodesCreated_.add(tc.created - tc.flushedCreated);
   tc.flushedCreated = tc.created;
-  if (!sharedMode_) {
-    // Structure gauges describe shared state; in a shared phase they are
-    // refreshed at stop-the-world points (gc, growth, endShared) instead of
-    // on every worker's op exit.
-    obsUniqueSize_.set(static_cast<int64_t>(uniqueCount_));
-    obsUniquePeak_.updateMax(static_cast<int64_t>(stats_.peakLiveNodes));
-  }
+  obsUniqueSize_.set(static_cast<int64_t>(uniqueCount_));
+  obsUniquePeak_.updateMax(static_cast<int64_t>(stats_.peakLiveNodes));
 }
 
 const BddStats& BddManager::stats() const {
-  stats_.liveNodes = sharedMode_ ? approxLive() : uniqueCount_;
-  stats_.allocatedNodes = arenaEnd();
-  uint64_t lookups = retiredLookups_, hits = retiredHits_;
-  {
-    std::unique_lock<std::mutex> lock(ctxMu_, std::defer_lock);
-    if (sharedMode_) lock.lock();
-    lookups += mainCtx_.cacheLookups;
-    hits += mainCtx_.cacheHits;
-    for (const auto& c : workerCtxs_) {
-      lookups += c->cacheLookups;
-      hits += c->cacheHits;
-    }
-  }
-  stats_.cacheLookups = lookups;
-  stats_.cacheHits = hits;
+  stats_.liveNodes = uniqueCount_;
+  stats_.allocatedNodes = nodes_.size();
+  stats_.cacheLookups = mainCtx_.cacheLookups;
+  stats_.cacheHits = mainCtx_.cacheHits;
   return stats_;
 }
 
@@ -314,9 +261,7 @@ std::vector<uint8_t> BddManager::markReachable() const {
   // Every node reachable from an externally referenced node survives.
   // Iterative DFS over the arena; child edges strip the complement bit.
   // Free slots (var == kNil) are never roots, and children of live nodes
-  // are live, so the walk cannot enter one. In a shared phase the loop
-  // covers the resized arena too: virgin slots read var == kNil (their
-  // NSDMI default) and are skipped.
+  // are live, so the walk cannot enter one.
   std::vector<uint8_t> marked(nodes_.size(), 0);
   marked[0] = marked[1] = 1;
   std::vector<uint32_t> stack;
@@ -337,8 +282,7 @@ std::vector<uint8_t> BddManager::markReachable() const {
   return marked;
 }
 
-void BddManager::cacheKeepAlive(ThreadCtx& tc,
-                                const std::vector<uint8_t>& marked) {
+void BddManager::cacheKeepAlive(const std::vector<uint8_t>& marked) {
   // Keep-alive sweep: a cached result stays valid as long as every node it
   // mentions survived the collection — operand edges, the result edge, and
   // for ternary ops the third operand. Entries whose nodes all survived are
@@ -349,7 +293,7 @@ void BddManager::cacheKeepAlive(ThreadCtx& tc,
   // length: entries referencing dead nodes are dropped at the GC that
   // freed them, so no entry outlives the arena coordinates it was keyed on.
   auto alive = [&](uint32_t e) { return marked[eIdx(e)] != 0; };
-  for (CacheSet& s : tc.cache)
+  for (CacheSet& s : mainCtx_.cache)
   for (CacheEntry& e : s.way) {
     if (e.k1 == ~0ull && e.k2 == ~0ull) continue;
     uint32_t a = static_cast<uint32_t>(e.k1 >> 32);
@@ -373,15 +317,6 @@ void BddManager::cacheKeepAlive(ThreadCtx& tc,
 }
 
 size_t BddManager::gc() {
-  if (!sharedMode_) return gcImpl();
-  ThreadCtx& tc = ctx();
-  if (tc.stwCoordinator) return gcImpl();  // already quiesced (e.g. sift)
-  size_t freed = 0;
-  stwDeepRun(tc, [&] { freed = gcImpl(); });
-  return freed;
-}
-
-size_t BddManager::gcImpl() {
   std::vector<uint8_t> marked = markReachable();
 
   // Sweep by rebuilding the unique table wholesale: clearing buckets and
@@ -401,61 +336,35 @@ size_t BddManager::gcImpl() {
       ++freed;
     }
   }
-  if (sharedMode_) {
-    // uniqueCount_ was just recounted exactly; the shard deltas it
-    // approximated are folded in, so zero them.
-    for (uint32_t s = 0; s < kNumShards; ++s)
-      shardCounts_[s].n.store(0, std::memory_order_relaxed);
-    if (uniqueCount_ > stats_.peakLiveNodes)
-      stats_.peakLiveNodes = uniqueCount_;
-    obsUniqueSize_.set(static_cast<int64_t>(uniqueCount_));
-    obsUniquePeak_.updateMax(static_cast<int64_t>(stats_.peakLiveNodes));
-  }
   // The computed cache survives collection minus entries touching freed
   // nodes — fixpoint loops that negate/intersect the same live state sets
-  // every iteration keep their hits across GCs. Every attached thread's
-  // cache gets the same keep-alive sweep (we are quiesced: serial mode, or
-  // under the deep stop-the-world).
-  cacheKeepAlive(mainCtx_, marked);
-  for (auto& c : workerCtxs_) cacheKeepAlive(*c, marked);
+  // every iteration keep their hits across GCs.
+  cacheKeepAlive(marked);
   ++stats_.gcRuns;
   stats_.liveNodes = uniqueCount_;
   stats_.allocatedNodes = nodes_.size();
   obsGcRuns_.add();
   obsGcReclaimed_.add(freed);
-  flushObs(ctx());
+  flushObs(mainCtx_);
   return freed;
 }
 
 void BddManager::clearCaches() {
-  std::unique_lock<std::mutex> lock(ctxMu_, std::defer_lock);
-  if (sharedMode_) lock.lock();
   for (auto& s : mainCtx_.cache) s = CacheSet{};
-  for (auto& c : workerCtxs_)
-    for (auto& s : c->cache) s = CacheSet{};
 }
 
 obs::prof::BddCensus BddManager::census() const {
   obs::prof::BddCensus c;
-  c.liveNodes = sharedMode_ ? approxLive() : uniqueCount_;
+  c.liveNodes = uniqueCount_;
   c.allocatedNodes = nodes_.size() - 2;  // terminal + reserved slot excluded
   c.freeNodes = freeList_.size();
   c.uniqueBuckets = uniqueTable_.size();
-  c.threadCaches = 1 + workerCtxs_.size();
-  c.uniqueShards = sharedMode_ ? kNumShards : 1;
-  uint64_t lookups = retiredLookups_, hits = retiredHits_;
-  auto fold = [&](const ThreadCtx& tc) {
-    c.cacheEntries += tc.cache.size() * 2;
-    for (const CacheSet& s : tc.cache)
-      for (const CacheEntry& e : s.way)
-        if (e.k1 != ~0ull || e.k2 != ~0ull) ++c.cacheUsed;
-    lookups += tc.cacheLookups;
-    hits += tc.cacheHits;
-  };
-  fold(mainCtx_);
-  for (const auto& tc : workerCtxs_) fold(*tc);
-  c.cacheLookups = lookups;
-  c.cacheHits = hits;
+  c.cacheEntries = mainCtx_.cache.size() * 2;
+  for (const CacheSet& s : mainCtx_.cache)
+    for (const CacheEntry& e : s.way)
+      if (e.k1 != ~0ull || e.k2 != ~0ull) ++c.cacheUsed;
+  c.cacheLookups = mainCtx_.cacheLookups;
+  c.cacheHits = mainCtx_.cacheHits;
   c.gcRuns = stats_.gcRuns;
   c.reorderings = stats_.reorderings;
   c.peakLiveNodes = stats_.peakLiveNodes;

@@ -23,10 +23,7 @@ void BddManager::supportRec(uint32_t f, std::vector<bool>& seen,
 }
 
 std::vector<BddVar> BddManager::support(const Bdd& f) {
-  // arenaEnd(), not nodes_.size(): in a shared phase the arena vector's
-  // size marker can be mid-update by a grower, while the bump pointer is
-  // an atomic snapshot that bounds every published node index.
-  std::vector<bool> seen(arenaEnd(), false);
+  std::vector<bool> seen(nodes_.size(), false);
   std::vector<bool> inSupp(numVars(), false);
   supportRec(f.index(), seen, inSupp);
   std::vector<BddVar> out;
@@ -68,8 +65,7 @@ double BddManager::satDensity(uint32_t rootEdge, std::vector<char>& inSupp) {
     double density[2];  ///< [regular edge, complemented edge]
   };
   std::vector<Entry> memo;
-  std::lock_guard<std::mutex> lk(visitMu_);
-  if (visitStamp_.size() < arenaEnd()) visitStamp_.resize(arenaEnd(), 0);
+  if (visitStamp_.size() < nodes_.size()) visitStamp_.resize(nodes_.size(), 0);
   struct ResetStamps {
     std::vector<uint32_t>& stamps;
     const std::vector<Entry>& memo;
@@ -175,11 +171,7 @@ uint32_t BddManager::beginVisit() const {
   // Epoch-stamped visitation: no hashing, no per-call clearing. The stamp
   // array trails the arena lazily; a wrapped epoch (once per 2^32 walks)
   // resets it wholesale.
-  // Size from arenaEnd(), not nodes_.size(): during a shared phase the
-  // vector's size field may be mid-update by a concurrent grower, while
-  // the bump pointer is an atomic snapshot bounding every published index.
-  size_t end = arenaEnd();
-  if (visitStamp_.size() < end) visitStamp_.resize(end, 0);
+  if (visitStamp_.size() < nodes_.size()) visitStamp_.resize(nodes_.size(), 0);
   if (++visitEpoch_ == 0) {
     std::fill(visitStamp_.begin(), visitStamp_.end(), 0u);
     visitEpoch_ = 1;
@@ -205,15 +197,12 @@ size_t BddManager::countFrom(std::vector<uint32_t>& stack,
 }
 
 size_t BddManager::nodeCount(const Bdd& f) const {
-  // visitStamp_/visitEpoch_ are single-walker scratch; serialize counters.
-  std::lock_guard<std::mutex> lk(visitMu_);
   uint32_t epoch = beginVisit();
   std::vector<uint32_t> stack{eIdx(f.index())};
   return countFrom(stack, epoch);
 }
 
 size_t BddManager::sharedNodeCount(std::span<const Bdd> roots) const {
-  std::lock_guard<std::mutex> lk(visitMu_);
   uint32_t epoch = beginVisit();
   std::vector<uint32_t> stack;
   for (const Bdd& r : roots)

@@ -1,5 +1,5 @@
-// Coarse-grain parallel verification: check the independent properties of
-// ONE loaded design on a pool of worker threads.
+// Parallel verification: check the independent properties of ONE loaded
+// design on a pool of worker threads.
 //
 // The unit of parallelism is the property, and the isolation unit is the
 // BddManager. Each worker owns a full replica of the design's symbolic
@@ -7,13 +7,11 @@
 // computed reachable set — moved over ONCE by structural copy
 // (BddTransfer), so after setup the workers share no BDD state at all:
 // no unique-table contention, no cache interference, no GC coordination.
-// This is the coarse-grain half of the parallel engine; the fine-grain
-// half (sharded unique table + fork-join apply inside one manager) lives
-// in the BDD layer itself (BddManager::beginShared).
+// A BddManager belongs to one thread; this scheduler is the only place the
+// engine runs BDD work on several threads.
 //
 // Replicas are built serially on the calling thread — transfers read the
-// source manager, whose handle refcounts are not synchronized in serial
-// mode — then handed to the workers, which do the rest (checker
+// source manager, whose handle refcounts are not synchronized — then handed to the workers, which do the rest (checker
 // construction, don't-care minimization, the checks) fully concurrently.
 //
 // Language-containment properties need no replica: each LC check builds

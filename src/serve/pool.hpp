@@ -7,8 +7,7 @@
 // its design digest; an unmapped digest takes the LRU worker, evicting
 // that worker's cold design. Requests for one digest therefore serialize
 // on one worker (and hit its warm Session), while requests for different
-// designs run genuinely in parallel — the HermesBDD-motivated coarse
-// grain: independent properties over separate read-mostly managers.
+// designs run genuinely in parallel, each on its own worker's managers.
 //
 // Budgets: every request runs under the worker's own obs::Watchdog armed
 // with the request's wall/RSS budget, targeting the worker's TaskAbort

@@ -1,4 +1,4 @@
-// par::checkBatch — the coarse-grain property-batch scheduler. The
+// par::checkBatch — the property-batch scheduler. The
 // contract under test: a batch on N workers returns exactly the verdicts
 // the serial session would (each worker checks against its own replica
 // manager, so any divergence is a transfer or seeding bug), and abort
@@ -46,9 +46,13 @@ std::vector<BugReport> serialVerdicts(const char* model) {
 }
 
 TEST(ParBatch, VerdictsMatchSerial) {
-  // philos covers CTL under Büchi fairness; scheduler adds the language-
-  // containment path (workers share the const flat model, no replica).
-  for (const char* model : {"philos", "scheduler"}) {
+  // Every bundled design: philos covers CTL under Büchi fairness, scheduler
+  // adds the language-containment path (workers share the const flat model,
+  // no replica), and the rest put the replica transfer through each
+  // design's own transition relation and reached set.
+  for (const models::ModelDef& def : models::all()) {
+    const std::string name(def.name);
+    const char* model = name.c_str();
     std::vector<BugReport> serial = serialVerdicts(model);
 
     Session s;
