@@ -9,8 +9,10 @@
 //   hsis_bench --suite table1 --repeat 3 --stats-json out/
 //   hsis_bench --suite reach --filter gigamax --heartbeat 500 --timeout-s 60
 //
-// --stats-json takes either a directory (gets BENCH_<suite>.json inside)
-// or an explicit .json path. --trace-out DIR writes one Chrome trace
+// --stats-json takes either a directory (gets BENCH_<suite>.json inside;
+// created if missing, but never its missing parents) or an explicit .json
+// path in an existing directory; a missing parent exits with code 2 before
+// any case runs. --trace-out DIR writes one Chrome trace
 // (phase spans plus profiler counter tracks) per case as
 // TRACE_<case>.json, mirroring how --stats-json names baselines. The
 // shared obs flags (--heartbeat, --timeout-s, --mem-limit-mb, --profile)
@@ -595,6 +597,28 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Resolve the --stats-json target before any case runs. A path ending
+  // in .json names the file; anything else names a directory that receives
+  // BENCH_<suite>.json and is created if missing. Only that one directory
+  // is made: a missing parent is a usage error, never created.
+  std::filesystem::path statsFile;
+  if (!obsOpts.statsJsonPath.empty()) {
+    namespace fs = std::filesystem;
+    const fs::path out(obsOpts.statsJsonPath);
+    const bool isDir = out.extension() != ".json";
+    statsFile = isDir ? out / ("BENCH_" + suite + ".json") : out;
+    const fs::path dir = statsFile.parent_path();
+    std::error_code ec;
+    const fs::path parent = isDir ? dir.parent_path() : dir;
+    if (!parent.empty() && !fs::is_directory(parent, ec)) {
+      std::fprintf(stderr, "--stats-json: directory %s does not exist\n",
+                   parent.c_str());
+      return 2;
+    }
+    if (isDir && !dir.empty() && !fs::is_directory(dir, ec))
+      fs::create_directory(dir, ec);
+  }
+
   hsisbench::BenchDoc doc;
   doc.suite = suite;
   doc.gitSha = hsisbench::gitSha();
@@ -664,20 +688,14 @@ int main(int argc, char** argv) {
     if (aborted) break;
   }
 
-  if (!obsOpts.statsJsonPath.empty()) {
-    namespace fs = std::filesystem;
-    fs::path out(obsOpts.statsJsonPath);
-    bool isDir = out.extension() != ".json";
-    fs::path file = isDir ? out / ("BENCH_" + suite + ".json") : out;
-    if (file.has_parent_path())
-      fs::create_directories(file.parent_path());
-    std::ofstream f(file);
+  if (!statsFile.empty()) {
+    std::ofstream f(statsFile);
     if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", file.c_str());
+      std::fprintf(stderr, "cannot write %s\n", statsFile.c_str());
       return 2;
     }
     f << hsisbench::toJson(doc);
-    std::printf("wrote %s\n", file.c_str());
+    std::printf("wrote %s\n", statsFile.c_str());
   }
   return aborted ? 3 : 0;
 }

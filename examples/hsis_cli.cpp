@@ -29,9 +29,11 @@
 //   --cex-dir DIR        write a replayable hsis-cex-v1 counterexample
 //                        artifact (JSON + VCD) into DIR for every failing
 //                        CTL check with a trace (see docs/debugging.md)
-// A watchdog abort still writes the --stats-json snapshot (its "aborted"
-// field carries the reason and breaching phase) and the --profile files,
-// and exits with code 3. Every invocation appends one hsis-ledger-v1
+// Exit codes: 0 every property passed, 1 some property failed, 2 usage
+// error (including a --stats-json file that cannot be written). A watchdog
+// abort still writes the --stats-json snapshot (its "aborted" field carries
+// the reason and breaching phase) and the --profile files, and exits with
+// code 3. Every invocation appends one hsis-ledger-v1
 // record (pass/fail/aborted/crashed, wall, peak RSS) that hsis_report
 // queries.
 #include <cctype>
@@ -79,15 +81,17 @@ int usage() {
   return 2;
 }
 
-void writeStats(const std::string& path) {
-  if (path.empty()) return;
+/// Write the --stats-json snapshot; false when the file cannot be written.
+bool writeStats(const std::string& path) {
+  if (path.empty()) return true;
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+    return false;
   }
   out << hsis::obs::snapshotJson();
   std::printf("observability snapshot written to %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace
@@ -280,13 +284,16 @@ int main(int argc, char** argv) {
       }
     }
 
-    writeStats(obsOpts.statsJsonPath);
+    const bool statsWritten = writeStats(obsOpts.statsJsonPath);
     if (failures == 0) {
       hsis::obs::noteRunResult("pass", "");
-      return 0;
+    } else {
+      hsis::obs::noteRunResult("fail", failing,
+                               hsis::obs::ledger::digestOf(failing));
     }
-    hsis::obs::noteRunResult("fail", failing,
-                             hsis::obs::ledger::digestOf(failing));
-    return 1;
+    // A --stats-json file that cannot be written is a usage error, whatever
+    // the verdict.
+    if (!statsWritten) return 2;
+    return failures == 0 ? 0 : 1;
   });
 }

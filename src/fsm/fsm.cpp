@@ -333,6 +333,36 @@ Bdd Fsm::stateFromValues(const std::vector<uint32_t>& values) const {
   return s;
 }
 
+size_t Fsm::addLatch(const std::string& name, uint32_t domain,
+                     const std::vector<std::string>& valueNames,
+                     std::vector<BddVar> presentBits,
+                     std::vector<BddVar> nextBits, uint32_t reset) {
+  MvVarId x = space_.addVar(name, domain, valueNames, std::move(presentBits));
+  MvVarId y = space_.addVar(name + "$next", domain, valueNames,
+                            std::move(nextBits));
+  latches_.push_back(LatchInfo{name, "", x, y, 0});
+  stateVars_.push_back(x);
+  nextVars_.push_back(y);
+  init_ &= space_.literal(x, reset);
+  presentCube_ &= space_.cube(x);
+  nextCube_ &= space_.cube(y);
+  stateBits_ += space_.totalBits({x});
+
+  // The bits may postdate the rename maps: extend them as identities.
+  for (uint32_t i = static_cast<uint32_t>(nextToPresentMap_.size());
+       i < space_.mgr().numVars(); ++i) {
+    nextToPresentMap_.push_back(i);
+    presentToNextMap_.push_back(i);
+  }
+  const auto& xb = space_.bits(x);
+  const auto& yb = space_.bits(y);
+  for (size_t i = 0; i < xb.size(); ++i) {
+    nextToPresentMap_[yb[i]] = xb[i];
+    presentToNextMap_[xb[i]] = yb[i];
+  }
+  return latches_.size() - 1;
+}
+
 Fsm Fsm::transferred(BddTransfer& tx, const Fsm& src) {
   // Start from a plain copy (handles still on the source manager), then
   // replace every symbolic member with its structural copy and rebind the

@@ -100,6 +100,21 @@ class Fsm {
     return diagnostics_;
   }
 
+  // ---- extension (composing a property monitor onto a design copy) ----
+  /// Append a latch encoded on `presentBits`/`nextBits`, fresh variables
+  /// that no existing variable of this machine uses: registers its present
+  /// and next MV variables, conjoins `latch == reset` onto the initial
+  /// states, and extends the cubes and rename maps. The latch is not a
+  /// design signal (signalVar() does not know it), so its name can shadow
+  /// none. Returns the new latch index; add its next-state relation with
+  /// addRelation().
+  size_t addLatch(const std::string& name, uint32_t domain,
+                  const std::vector<std::string>& valueNames,
+                  std::vector<BddVar> presentBits, std::vector<BddVar> nextBits,
+                  uint32_t reset);
+  /// Append one conjunct to relations().
+  void addRelation(Bdd relation) { relations_.push_back(std::move(relation)); }
+
  private:
   struct LatchInfo {
     std::string name;        ///< latch output (present-state signal)

@@ -46,6 +46,7 @@ void Session::resetMachine() {
   coverage_.reset();
   tr_.reset();
   fsm_.reset();
+  monitorBits_ = MonitorBits{};
   mgr_.reset();
   builtCheckerKey_.clear();
 }
@@ -250,6 +251,12 @@ double Session::reachedStates() {
   return states;
 }
 
+const MonitorBits& Session::reserveMonitorBits(uint32_t states) {
+  build();
+  monitorBits_.reserve(*fsm_, states);
+  return monitorBits_;
+}
+
 cov::Report Session::coverage(cov::Options options) {
   CtlChecker& mc = checker();
   const bool defaults = options.points.empty() && options.simMaxStates == 0 &&
@@ -280,7 +287,8 @@ BugReport Session::checkCtlOn(CtlChecker& checker, const std::string& name,
   return report;
 }
 
-BugReport Session::checkAutomatonOn(const blifmv::Model& flat,
+BugReport Session::checkAutomatonOn(const Fsm& fsm, const Bdd& reached,
+                                    MonitorBits& bits,
                                     const FairnessSpec& fairness,
                                     const Options& opts,
                                     const std::string& name,
@@ -296,19 +304,16 @@ BugReport Session::checkAutomatonOn(const blifmv::Model& flat,
   lo.partitionedTr = opts.partitionedTr;
   lo.clusterLimit = opts.clusterLimit;
   lo.quantMethod = opts.quantMethod;
-  // Each containment check runs in its own manager: the product machine has
-  // its own variable space.
   obs::Span span("env.verify.lc");
-  BddManager productMgr;
-  LcChecker lc(productMgr, flat, aut, fairness, lo);
+  LcChecker lc(fsm, reached, bits, aut, fairness, lo);
   LcResult r = lc.check();
   report.holds = r.contained;
   report.notes = r.notes;
   report.seconds = r.stats.seconds;
   report.usedEarlyFailure = r.stats.usedEarlyFailure;
   if (r.trace.has_value()) {
-    // Render against the product FSM now; the trace's variable indices are
-    // only meaningful in the product manager.
+    // Render against the product FSM now: the monitor latch exists only
+    // there, not in the design FSM the report is rendered with.
     report.notes.push_back("error trace (design + monitor):\n" +
                            lc.formatTrace(*r.trace));
   }
@@ -323,8 +328,9 @@ BugReport Session::checkCtl(const std::string& name, const CtlRef& formula) {
 
 BugReport Session::checkAutomaton(const std::string& name,
                                   const Automaton& aut) {
-  build();
-  return checkAutomatonOn(flat_, fairness_, opts_, name, aut);
+  const Bdd& reached = checker().reached();
+  return checkAutomatonOn(*fsm_, reached, monitorBits_, fairness_, opts_, name,
+                          aut);
 }
 
 BugReport Session::check(const PifProperty& property) {

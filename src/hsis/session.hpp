@@ -6,7 +6,8 @@
 // property-batch scheduler (par/batch.hpp) all drive it.
 //
 // A Session owns one BddManager plus everything derived from a loaded
-// design (flattened model, FSM, transition relation, CTL checker) and
+// design (flattened model, FSM, transition relation, CTL checker, the
+// encoding bits its LC monitors share) and
 // answers repeated check requests against it. The paper presents HSIS as an
 // interactive environment — load a design once, query it many times — and
 // Session is that shape as an object: `load()` is digest-keyed, so loading
@@ -140,9 +141,11 @@ class Session {
   /// checkCtl against any checker (a session's or a replica's).
   static BugReport checkCtlOn(CtlChecker& checker, const std::string& name,
                               const CtlRef& formula);
-  /// checkAutomaton from const design state: each containment check builds
-  /// its own product manager, so it needs no session machine.
-  static BugReport checkAutomatonOn(const blifmv::Model& flat,
+  /// checkAutomaton against any resident design (a session's or a
+  /// replica's): the product is composed onto `fsm` in its manager, with
+  /// the monitor on `bits`, and its fair hull decided inside `reached`.
+  static BugReport checkAutomatonOn(const Fsm& fsm, const Bdd& reached,
+                                    MonitorBits& bits,
                                     const FairnessSpec& fairness,
                                     const Options& opts,
                                     const std::string& name,
@@ -167,6 +170,10 @@ class Session {
   Simulator makeSimulator(uint64_t seed = 1);
   /// Reachable state count (computed on demand, cached in the checker).
   double reachedStates();
+  /// Reserve monitor encoding bits in the resident manager for automata of
+  /// up to `states` states. par::checkBatch reserves before replicating so
+  /// every replica finds the bits at the same variable ids.
+  const MonitorBits& reserveMonitorBits(uint32_t states);
   /// Coverage analysis of the reachable state set (hsis_cov). Reuses the
   /// checker's cached fixpoint and its frontier series; returns a
   /// valid-empty disabled report under HSIS_OBS_DISABLE/HSIS_COV_DISABLE.
@@ -205,6 +212,7 @@ class Session {
   std::unique_ptr<CtlChecker> checker_;
   std::string builtCheckerKey_;  ///< fairness+options key checker_ embodies
   std::optional<cov::Report> coverage_;  ///< default-options coverage(), per checker_
+  MonitorBits monitorBits_;  ///< LC monitor bits in mgr_, shared by all checks
 };
 
 }  // namespace hsis

@@ -1,6 +1,6 @@
 #include "lc/automaton.hpp"
 
-#include <functional>
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -10,52 +10,6 @@ namespace {
 
 [[noreturn]] void autError(const std::string& name, const std::string& msg) {
   throw std::runtime_error("automaton " + name + ": " + msg);
-}
-
-/// Resolve a value token against a declaration (symbolic name or numeral).
-std::optional<uint32_t> resolveValue(const blifmv::VarDecl* decl,
-                                     const std::string& tok) {
-  uint32_t domain = decl == nullptr ? 2 : decl->domain;
-  if (decl != nullptr) {
-    for (uint32_t k = 0; k < decl->valueNames.size(); ++k)
-      if (decl->valueNames[k] == tok) return k;
-  }
-  if (!tok.empty() && tok.find_first_not_of("0123456789") == std::string::npos) {
-    unsigned long v = std::stoul(tok);
-    if (v < domain) return static_cast<uint32_t>(v);
-  }
-  return std::nullopt;
-}
-
-/// Evaluate a guard on a concrete assignment of guard signals.
-bool evalConcrete(const SigExpr& e,
-                  const std::function<uint32_t(const std::string&)>& valueOfSig,
-                  const std::function<const blifmv::VarDecl*(const std::string&)>& declOfSig,
-                  const std::string& autName) {
-  switch (e.kind) {
-    case SigExpr::Kind::True:
-      return true;
-    case SigExpr::Kind::False:
-      return false;
-    case SigExpr::Kind::Not:
-      return !evalConcrete(*e.args[0], valueOfSig, declOfSig, autName);
-    case SigExpr::Kind::And:
-      return evalConcrete(*e.args[0], valueOfSig, declOfSig, autName) &&
-             evalConcrete(*e.args[1], valueOfSig, declOfSig, autName);
-    case SigExpr::Kind::Or:
-      return evalConcrete(*e.args[0], valueOfSig, declOfSig, autName) ||
-             evalConcrete(*e.args[1], valueOfSig, declOfSig, autName);
-    case SigExpr::Kind::Atom: {
-      uint32_t actual = valueOfSig(e.signal);
-      std::string tok = e.value.empty() ? "1" : e.value;
-      std::optional<uint32_t> want = resolveValue(declOfSig(e.signal), tok);
-      if (!want.has_value())
-        autError(autName, "guard value '" + tok + "' not in domain of " + e.signal);
-      bool eq = actual == *want;
-      return e.negatedAtom ? !eq : eq;
-    }
-  }
-  return false;
 }
 
 void collectSignals(const SigExpr& e, std::vector<std::string>& out) {
@@ -185,89 +139,72 @@ std::vector<bool> Automaton::deadStates() const {
   return dead;
 }
 
-void Automaton::compose(blifmv::Model& flat, const std::string& monitorSignal,
-                        size_t maxRows) const {
+void MonitorBits::reserve(const Fsm& design, uint32_t domain) {
+  const uint32_t want = MvSpace::bitsFor(domain);
+  if (present_.size() >= want) return;
+  BddManager& mgr = design.mgr();
+  uint32_t level = 0;
+  auto below = [&](BddVar v) { level = std::max(level, mgr.level(v) + 1); };
+  for (BddVar v : mgr.support(design.presentCube() & design.nextCube()))
+    below(v);
+  for (BddVar v : present_) below(v);
+  for (BddVar v : next_) below(v);
+  while (present_.size() < want) {
+    present_.push_back(mgr.newVarAtLevel(level++));
+    next_.push_back(mgr.newVarAtLevel(level++));
+  }
+}
+
+Fsm Automaton::monitorProduct(const Fsm& design, MonitorBits& bits) const {
   if (states_.empty()) autError(name_, "no states");
   if (pairs_.empty()) autError(name_, "no acceptance condition");
-  if (flat.declOf(monitorSignal) != nullptr)
-    autError(name_, "monitor signal name " + monitorSignal + " collides");
 
-  // Guard signal inventory.
+  // Guards over the design's signals; `care` is every valid value
+  // combination of the signals they read.
+  std::vector<Bdd> guards;
+  guards.reserve(edges_.size());
+  for (const Edge& e : edges_) guards.push_back(evalGuardExpr(*e.guard, design));
   std::vector<std::string> sigs;
   for (const Edge& e : edges_) collectSignals(*e.guard, sigs);
-  std::vector<uint32_t> domains;
-  std::vector<const blifmv::VarDecl*> decls;
-  size_t assignments = 1;
-  for (const std::string& s : sigs) {
-    const blifmv::VarDecl* d = flat.declOf(s);
-    decls.push_back(d);
-    domains.push_back(d == nullptr ? 2 : d->domain);
-    assignments *= domains.back();
-    if (assignments * states_.size() > maxRows)
-      autError(name_, "guard enumeration too large");
-  }
+  Bdd care = design.mgr().bddOne();
+  for (const std::string& s : sigs)
+    care &= design.space().validEncodings(*design.signalVar(s));
 
-  // Declare monitor variables.
-  blifmv::VarDecl monDecl;
-  monDecl.domain = static_cast<uint32_t>(states_.size());
-  monDecl.valueNames = states_;
-  std::string nsName = monitorSignal + "_ns";
-  flat.varDecls[monitorSignal] = monDecl;
-  flat.varDecls[nsName] = monDecl;
-
-  blifmv::Table tab;
-  tab.inputs = sigs;
-  tab.inputs.push_back(monitorSignal);
-  tab.output = nsName;
-
-  std::vector<uint32_t> counters(sigs.size(), 0);
-  auto valueOfSig = [&](const std::string& name) -> uint32_t {
-    for (size_t i = 0; i < sigs.size(); ++i)
-      if (sigs[i] == name) return counters[i];
-    autError(name_, "internal: unknown guard signal " + name);
-  };
-  auto declOfSig = [&](const std::string& name) -> const blifmv::VarDecl* {
-    for (size_t i = 0; i < sigs.size(); ++i)
-      if (sigs[i] == name) return decls[i];
-    return nullptr;
-  };
-  auto tokenOf = [&](size_t sigIdx, uint32_t v) -> std::string {
-    const blifmv::VarDecl* d = decls[sigIdx];
-    if (d != nullptr && v < d->valueNames.size()) return d->valueNames[v];
-    return std::to_string(v);
-  };
-
-  for (size_t a = 0; a < assignments; ++a) {
-    for (uint32_t s = 0; s < states_.size(); ++s) {
-      int target = -1;
-      for (const Edge& e : edges_) {
-        if (e.from != s) continue;
-        if (!evalConcrete(*e.guard, valueOfSig, declOfSig, name_)) continue;
-        if (target >= 0 && target != static_cast<int>(e.to))
+  for (uint32_t s = 0; s < states_.size(); ++s) {
+    Bdd covered = design.mgr().bddZero();
+    for (size_t i = 0; i < edges_.size(); ++i) {
+      if (edges_[i].from != s) continue;
+      for (size_t j = 0; j < i; ++j) {
+        if (edges_[j].from != s || edges_[j].to == edges_[i].to) continue;
+        if (!(guards[i] & guards[j] & care).isZero())
           autError(name_, "nondeterministic at state " + states_[s] +
                               " (two guards overlap)");
-        target = static_cast<int>(e.to);
       }
-      if (target < 0)
-        autError(name_, "incomplete at state " + states_[s] +
-                            " (no guard matches some input)");
-      blifmv::Row row;
-      for (size_t i = 0; i < sigs.size(); ++i)
-        row.entries.push_back(blifmv::RowEntry::value(tokenOf(i, counters[i])));
-      row.entries.push_back(blifmv::RowEntry::value(states_[s]));
-      row.entries.push_back(
-          blifmv::RowEntry::value(states_[static_cast<uint32_t>(target)]));
-      tab.rows.push_back(std::move(row));
+      covered |= guards[i];
     }
-    for (size_t k = sigs.size(); k-- > 0;) {
-      if (++counters[k] < domains[k]) break;
-      counters[k] = 0;
-    }
+    if (!(care & !covered).isZero())
+      autError(name_, "incomplete at state " + states_[s] +
+                          " (no guard matches some input)");
   }
 
-  flat.tables.push_back(std::move(tab));
-  flat.latches.push_back(
-      blifmv::Latch{nsName, monitorSignal, {states_[initial_]}});
+  const uint32_t n = numStates();
+  bits.reserve(design, n);
+  const uint32_t nbits = MvSpace::bitsFor(n);
+  Fsm product = design;
+  size_t l = product.addLatch(
+      "_monitor", n, states_,
+      {bits.present().begin(), bits.present().begin() + nbits},
+      {bits.next().begin(), bits.next().begin() + nbits}, initial_);
+  const MvSpace& space = product.space();
+  MvVarId x = product.stateVar(l);
+  MvVarId y = product.nextVar(l);
+  Bdd rel = design.mgr().bddZero();
+  for (size_t i = 0; i < edges_.size(); ++i) {
+    rel |= space.literal(x, edges_[i].from) & guards[i] &
+           space.literal(y, edges_[i].to);
+  }
+  product.addRelation(std::move(rel));
+  return product;
 }
 
 }  // namespace hsis

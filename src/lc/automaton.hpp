@@ -1,7 +1,7 @@
 // Deterministic ω-automata with edge guards over design signals and Rabin
 // acceptance — the property formalism of HSIS's language-containment
-// paradigm [16]. A property automaton is compiled into a BLIF-MV monitor
-// (one latch + one transition table) and composed with the design, so the
+// paradigm [16]. A property automaton becomes a monitor latch composed
+// symbolically onto the design's Fsm, in the design's own manager, so the
 // product machine is an ordinary Fsm.
 #pragma once
 
@@ -10,10 +10,28 @@
 #include <string>
 #include <vector>
 
-#include "blifmv/blifmv.hpp"
+#include "fsm/fsm.hpp"
 #include "pif/sigexpr.hpp"
 
 namespace hsis {
+
+/// Encoding bits for property monitors over one design's manager. They are
+/// allocated on first demand directly below the design's latch block (where
+/// a monitor latch appended to the flat model would sit) and reused by every
+/// later monitor, so repeated checks do not grow the variable space. Holds
+/// variable ids only: a copy stays valid in a manager that mirrors this
+/// one's variables (BddTransfer).
+class MonitorBits {
+ public:
+  /// Make room for a monitor of `domain` values over `design`; allocates
+  /// only when no earlier monitor was as large.
+  void reserve(const Fsm& design, uint32_t domain);
+  [[nodiscard]] const std::vector<BddVar>& present() const { return present_; }
+  [[nodiscard]] const std::vector<BddVar>& next() const { return next_; }
+
+ private:
+  std::vector<BddVar> present_, next_;  ///< present_[i], next_[i] adjacent
+};
 
 /// Rabin pair over automaton states: a run is accepted iff for SOME pair,
 /// states in `fin` are visited finitely often AND states in `inf` are
@@ -53,18 +71,20 @@ class Automaton {
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
 
   /// States with no accepting continuation (pure graph analysis, assuming
-  /// all guards satisfiable). Reaching one of these is an immediate
-  /// language-containment failure — the basis of early failure detection.
+  /// all guards satisfiable). A reachable product state in one of these
+  /// with a fair design continuation lies in LcChecker's fair hull, so the
+  /// checker's early failure detection covers them without a separate watch.
   [[nodiscard]] std::vector<bool> deadStates() const;
 
-  /// Compile into a monitor and append to the flat design model:
-  /// a latch `monitorSignal` (domain = #states, symbolic value names) and a
-  /// transition table enumerating guard-signal assignments. Checks that the
-  /// automaton is deterministic and complete over the enumerated space;
-  /// throws std::runtime_error otherwise (or when the enumeration exceeds
-  /// `maxRows`).
-  void compose(blifmv::Model& flatDesign, const std::string& monitorSignal,
-               size_t maxRows = 1u << 16) const;
+  /// The product of `design` with this automaton's monitor: a copy of the
+  /// design plus one MV latch "_monitor" over the automaton's states
+  /// (symbolic value names, reset to the initial state) on bits from
+  /// `bits`, with its next-state relation built from the edge guards
+  /// (evalGuardExpr, so guards may read combinational and `$ND` wires).
+  /// Throws std::runtime_error when the automaton has no states or no
+  /// acceptance condition, or is not deterministic and complete over the
+  /// values of its guard signals.
+  [[nodiscard]] Fsm monitorProduct(const Fsm& design, MonitorBits& bits) const;
 
  private:
   std::string name_;

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "obs/control.hpp"
 #include "obs/log.hpp"
@@ -24,45 +23,40 @@ int64_t clampToGauge(double v) {
 
 }  // namespace
 
+LcChecker::LcChecker(const Fsm& design, const Bdd& designReached,
+                     MonitorBits& bits, const Automaton& property,
+                     const FairnessSpec& fairness, LcOptions options)
+    : opts_(options) {
+  obs::Span span("lc.build");
+  compose(design, designReached, bits, property, fairness);
+}
+
 LcChecker::LcChecker(BddManager& mgr, const blifmv::Model& flatDesign,
                      const Automaton& property, const FairnessSpec& fairness,
                      LcOptions options)
     : opts_(options) {
   obs::Span span("lc.build");
-  // Compose the monitor into a copy of the design, picking a monitor
-  // signal name that collides with nothing in the flat model.
-  blifmv::Model product = flatDesign;
-  std::unordered_set<std::string> taken;
-  for (const auto& [name, decl] : product.varDecls) {
-    (void)decl;
-    taken.insert(name);
-  }
-  for (const auto& l : product.latches) {
-    taken.insert(l.input);
-    taken.insert(l.output);
-  }
-  for (const auto& t : product.tables) {
-    taken.insert(t.output);
-    for (const auto& in : t.inputs) taken.insert(in);
-  }
-  monitor_ = "_monitor";
-  while (taken.contains(monitor_) || taken.contains(monitor_ + "_ns")) {
-    monitor_ += "_";
-  }
-  property.compose(product, monitor_);
+  Fsm design(mgr, flatDesign);
+  TransitionRelation tr =
+      opts_.partitionedTr
+          ? TransitionRelation::partitioned(design, opts_.clusterLimit)
+          : TransitionRelation::monolithic(design, opts_.quantMethod);
+  Bdd reached = reachableStates(tr, design.initialStates()).reached;
+  MonitorBits bits;
+  compose(design, reached, bits, property, fairness);
+}
 
-  fsm_.emplace(mgr, product);
+void LcChecker::compose(const Fsm& design, const Bdd& designReached,
+                        MonitorBits& bits, const Automaton& property,
+                        const FairnessSpec& fairness) {
+  fsm_.emplace(property.monitorProduct(design, bits));
+  monitorVar_ = fsm_->stateVar(fsm_->numLatches() - 1);
+  within_ = designReached & fsm_->space().validEncodings(monitorVar_);
   if (opts_.partitionedTr) {
     tr_ = TransitionRelation::partitioned(*fsm_, opts_.clusterLimit);
   } else {
     tr_ = TransitionRelation::monolithic(*fsm_, opts_.quantMethod);
   }
-
-  std::optional<MvVarId> mv = fsm_->signalVar(monitor_);
-  if (!mv.has_value()) throw std::logic_error("lc: monitor variable missing");
-  monitorVar_ = *mv;
-  autDead_ = property.deadStates();
-
   buildConstraints(property, fairness);
 }
 
@@ -171,6 +165,20 @@ Bdd LcChecker::fairHull(const Bdd& within) {
                    {{"iteration", steps}, {"nodes", z.nodeCount()}});
     Bdd zOld = z;
 
+    // Streett pairs (L,U): remove L-states that cannot reach U within Z.
+    // First: with an empty U this is a plain cut that shrinks every later
+    // fixpoint of the sweep.
+    for (const auto& [l, u] : streett_) {
+      Bdd y = z & u;
+      while (true) {
+        Bdd y2 = y | (z & tr_->preimage(y));
+        if (y2 == y) break;
+        y = std::move(y2);
+      }
+      Bdd bad = z & l & !y;
+      z &= !bad;
+    }
+
     // Emerson-Lei steps for Büchi state sets.
     for (const Bdd& b : buchiSets_) {
       // Z := Z ∧ EX E[Z U (Z ∧ B)]
@@ -195,18 +203,6 @@ Bdd LcChecker::fairHull(const Bdd& within) {
       }
       z &= y;
     }
-    // Streett pairs (L,U): remove L-states that cannot reach U within Z.
-    for (const auto& [l, u] : streett_) {
-      Bdd y = z & u;
-      while (true) {
-        Bdd y2 = y | (z & tr_->preimage(y));
-        if (y2 == y) break;
-        y = std::move(y2);
-      }
-      Bdd bad = z & l & !y;
-      z &= !bad;
-    }
-
     if (z == zOld || z.isZero()) {
       HSIS_LOG_DEBUG("lc.hull", "hull converged",
                      {{"iterations", steps},
@@ -222,116 +218,78 @@ LcResult LcChecker::check() {
   obs::counter("lc.checks").add();
   auto start = std::chrono::steady_clock::now();
   LcResult res;
+  auto finish = [&]() -> LcResult {
+    res.stats = stats_;
+    res.stats.seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    return res;
+  };
   const Fsm& fsm = *fsm_;
 
-  // A statically unsatisfiable fairness constraint means the design has no
-  // fair runs at all: containment holds vacuously.
+  // A fairness constraint that is unsatisfiable, statically or on the
+  // reachable state space, means the design has no fair runs at all:
+  // containment holds vacuously (early pass detection, technique 2).
   for (const Bdd& b : buchiSets_) {
     if (b.isZero()) {
       res.contained = true;
       res.notes.push_back(
           "vacuous pass: a fairness constraint is unsatisfiable");
-      res.stats = stats_;
-      return res;
+      return finish();
     }
   }
-
-  // Dead monitor states: reaching one is an immediate failure candidate.
-  std::vector<uint32_t> deadList;
-  for (uint32_t s = 0; s < autDead_.size(); ++s)
-    if (autDead_[s]) deadList.push_back(s);
-  Bdd deadSet = monitorSet(deadList);
-
-  Bdd hitDead;
-  ReachOptions ro;
-  if (opts_.earlyFailureDetection && !deadSet.isZero()) {
-    ro.watch = [&](const Bdd& frontier, size_t) {
-      Bdd bad = frontier & deadSet;
-      if (!bad.isZero()) {
-        hitDead = bad;
-        return true;
-      }
-      return false;
-    };
-  }
-  ReachResult rr = reachableStates(*tr_, fsm.initialStates(), ro);
-  stats_.reachabilitySteps = rr.depth;
-
-  if (!hitDead.isNull()) {
-    // Early failure candidate: a reachable product state whose monitor
-    // component has no accepting continuation. Confirm there actually is a
-    // fair run (the fairness constraints might rule all runs out), first on
-    // the partial state space, widening to the full one if needed.
-    Bdd hull = fairHull(rr.reached);
-    bool confirmedOnPartial = !hull.isZero();
-    if (!confirmedOnPartial) {
-      rr = reachableStates(*tr_, fsm.initialStates(), ReachOptions{});
-      hull = fairHull(rr.reached);
-    }
-    if (!hull.isZero()) {
-      stats_.usedEarlyFailure = true;
-      obs::counter("lc.efd.failures").add();
-      HSIS_LOG_WARN("lc.check", "early failure: dead monitor state reached",
-                    {{"step", rr.depth},
-                     {"confirmed_on_partial", confirmedOnPartial}});
-      res.contained = false;
-      res.notes.push_back(
-          "early failure: property automaton reached a dead state (step " +
-          std::to_string(rr.depth) + ")");
-      if (!confirmedOnPartial) {
-        res.notes.push_back(
-            "fair-cycle confirmation needed the full reachable set");
-      }
-      if (opts_.wantTrace) {
-        res.trace = buildTrace(hull);
-        if (!res.trace.has_value() && confirmedOnPartial) {
-          res.notes.push_back(
-              "early-failure trace needed the full reachable set");
-          rr = reachableStates(*tr_, fsm.initialStates(), ReachOptions{});
-          hull = fairHull(rr.reached);
-          res.trace = buildTrace(hull);
-        }
-      }
-      stats_.reachedStates = fsm.countStates(rr.reached);
-      obs::gauge("lc.product.states").set(clampToGauge(stats_.reachedStates));
-      stats_.seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      res.stats = stats_;
-      return res;
-    }
-    // No fair cycle anywhere: fall through with the full reachable set.
-  }
-
-  stats_.reachedStates = fsm.countStates(rr.reached);
-  obs::gauge("lc.product.states").set(clampToGauge(stats_.reachedStates));
-
-  // Reachability don't cares: restrict-minimize the clusters by the
-  // reachable set before the (preimage-heavy) fair-cycle computation. All
-  // subsequent sources are inside the reachable set, so the minimized
-  // relation is exact where it is used.
-  tr_ = tr_->minimized(rr.reached);
-
-  // Early pass detection (technique 2): a required Büchi set that is
-  // unreachable means no fair run exists at all.
   for (const Bdd& b : buchiSets_) {
-    if ((b & rr.reached).isZero() && !b.isOne()) {
+    if ((b & within_).isZero() && !b.isOne()) {
       res.contained = true;
       res.notes.push_back(
           "vacuous pass: a fairness constraint is unsatisfiable on the "
           "reachable state space");
-      res.stats = stats_;
-      return res;
+      return finish();
     }
   }
 
-  Bdd hull = fairHull(rr.reached);
-  res.contained = hull.isZero();
+  // Reachability don't cares: restrict-minimize the clusters by S before
+  // the (preimage-heavy) fair-cycle computation. Every later source set
+  // lies inside S, so the minimized relation is exact where it is used.
+  tr_ = tr_->minimized(within_);
+
+  Bdd hull = fairHull(within_);
+  if (hull.isZero()) {
+    res.contained = true;
+    HSIS_LOG_INFO("lc.check", "containment check complete",
+                  {{"contained", true},
+                   {"hull_iterations", stats_.hullIterations},
+                   {"reach_depth", 0}});
+    return finish();
+  }
+
+  // The hull meets S: containment fails iff it meets the product's
+  // reachable states. With early failure detection the exploration stops
+  // at the first frontier that does.
+  ReachOptions ro;
+  if (opts_.earlyFailureDetection) {
+    ro.watch = [&](const Bdd& frontier, size_t) {
+      return !(frontier & hull).isZero();
+    };
+  }
+  ReachResult rr = reachableStates(*tr_, fsm.initialStates(), ro);
+  stats_.reachabilitySteps = rr.depth;
+  stats_.reachedStates = fsm.countStates(rr.reached);
+  obs::gauge("lc.product.states").set(clampToGauge(stats_.reachedStates));
+  res.contained = (rr.reached & hull).isZero();
   HSIS_LOG_INFO("lc.check", "containment check complete",
                 {{"contained", res.contained},
                  {"hull_iterations", stats_.hullIterations},
                  {"reach_depth", rr.depth}});
-  if (!res.contained && opts_.wantTrace) {
+  if (res.contained) return finish();
+
+  if (rr.stoppedEarly) {
+    stats_.usedEarlyFailure = true;
+    obs::counter("lc.efd.failures").add();
+    HSIS_LOG_WARN("lc.check", "early failure: product frontier meets the hull",
+                  {{"step", rr.depth}});
+  }
+  if (opts_.wantTrace) {
     res.trace = buildTrace(hull);
     if (!res.trace.has_value()) {
       res.notes.push_back(
@@ -339,11 +297,7 @@ LcResult LcChecker::check() {
           "result may be a false failure");
     }
   }
-  res.stats = stats_;
-  res.stats.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return res;
+  return finish();
 }
 
 std::string LcChecker::formatState(const std::vector<int8_t>& s) const {

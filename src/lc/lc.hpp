@@ -1,8 +1,9 @@
 // Language containment checking: L(design) ⊆ L(property).
 //
 // The deterministic edge-Rabin property automaton is composed with the
-// design as a monitor; containment fails iff the product has a reachable
-// fair cycle where "fair" means:
+// design as a monitor latch (Automaton::monitorProduct), in the design's
+// own manager; containment fails iff the product has a reachable fair cycle
+// where "fair" means:
 //   - every system fairness constraint holds (Büchi sets from negative
 //     state-subset constraints, edge sets from positive fair edges), and
 //   - the run is NOT accepted by the property: for every Rabin pair
@@ -11,6 +12,15 @@
 // Emptiness is decided with the Emerson-Lei-style operator iteration of
 // [17], computing an approximation of the fair states first (exact for the
 // Büchi fragment).
+//
+// The hull is computed inside S = R × M, the design's reached set R (already
+// known to the session) times the monitor's domain M, not inside the
+// product's reached set P: a monitor that is deterministic and complete
+// gives each design run exactly one product run, so P ⊆ S and S is closed
+// under successors, and every hull operator only follows paths forward, so
+// hull(S) ∩ P = hull(P). An empty hull(S) proves containment without any
+// product reachability; otherwise the product is explored from its initial
+// states until it meets hull(S).
 #pragma once
 
 #include <optional>
@@ -50,8 +60,11 @@ struct LcOptions {
 };
 
 struct LcStats {
+  /// Steps of the product reachability; 0 when the hull was empty and the
+  /// product was never explored.
   size_t reachabilitySteps = 0;
   size_t hullIterations = 0;
+  /// Product states reached (0 when the product was never explored).
   double reachedStates = 0.0;
   bool usedEarlyFailure = false;
   double seconds = 0.0;
@@ -66,8 +79,16 @@ struct LcResult {
 
 class LcChecker {
  public:
-  /// Compose `property` with the flattened design and build the product
-  /// machine in `mgr`. `fairness` constrains the design's infinite runs.
+  /// Compose `property` onto a resident design: `design` and its reachable
+  /// states `designReached`, in the design's manager, with the monitor on
+  /// bits from `bits` (reserved in that manager). `fairness` constrains the
+  /// design's infinite runs. `design` need not outlive the checker.
+  LcChecker(const Fsm& design, const Bdd& designReached, MonitorBits& bits,
+            const Automaton& property, const FairnessSpec& fairness = {},
+            LcOptions options = {});
+  /// The same check on a flattened model: elaborates the design, its
+  /// transition relation and its reachable states in `mgr`, then composes
+  /// as above.
   LcChecker(BddManager& mgr, const blifmv::Model& flatDesign,
             const Automaton& property, const FairnessSpec& fairness = {},
             LcOptions options = {});
@@ -77,7 +98,6 @@ class LcChecker {
   /// The product FSM (design + monitor latch).
   [[nodiscard]] const Fsm& fsm() const { return *fsm_; }
   [[nodiscard]] const TransitionRelation& tr() const { return *tr_; }
-  [[nodiscard]] const std::string& monitorSignal() const { return monitor_; }
   /// Pretty-print a product state, monitor state last.
   [[nodiscard]] std::string formatState(const std::vector<int8_t>& s) const;
   /// Render a whole trace.
@@ -93,6 +113,8 @@ class LcChecker {
   }
 
  private:
+  void compose(const Fsm& design, const Bdd& designReached, MonitorBits& bits,
+               const Automaton& property, const FairnessSpec& fairness);
   void buildConstraints(const Automaton& property, const FairnessSpec& fairness);
   Bdd monitorSet(const std::vector<uint32_t>& states) const;
   /// Counterexample lasso from the fair hull, validated against (and if
@@ -101,12 +123,11 @@ class LcChecker {
   /// States of `set` with an edge of E into `set`.
   Bdd preVia(const Bdd& e, const Bdd& set) const;
 
-  std::string monitor_;
   std::optional<Fsm> fsm_;
   std::optional<TransitionRelation> tr_;
   LcOptions opts_;
-  std::vector<bool> autDead_;
   MvVarId monitorVar_ = 0;
+  Bdd within_;  ///< S = design reached set × monitor domain
 
   std::vector<Bdd> buchiSets_;               ///< state sets: visit inf often
   std::vector<Bdd> edgeSets_;                ///< edge sets over (x,y)

@@ -128,41 +128,76 @@ std::string jsonDouble(double v);
 
 #if !defined(HSIS_OBS_DISABLE)
 
+/// Whether a metric was written since it was registered or last reset:
+/// snapshots list only touched metrics, so "not measured" never shows as 0.
+class TouchFlag {
+ public:
+  void touch() noexcept {
+    if (!touched_.load(std::memory_order_relaxed))
+      touched_.store(true, std::memory_order_relaxed);
+  }
+  void clear() noexcept { touched_.store(false, std::memory_order_relaxed); }
+  [[nodiscard]] bool touched() const noexcept {
+    return touched_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<bool> touched_{true};  // registering counts as a touch
+};
+
 /// Monotonically increasing event count. All operations are relaxed
 /// atomics: totals are exact, cross-metric ordering is not guaranteed.
 class Counter {
  public:
   void add(uint64_t n = 1) noexcept {
     v_.fetch_add(n, std::memory_order_relaxed);
+    touch_.touch();
   }
   [[nodiscard]] uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
+  [[nodiscard]] bool touched() const noexcept { return touch_.touched(); }
+  void reset() noexcept {
+    v_.store(0, std::memory_order_relaxed);
+    touch_.clear();
+  }
 
  private:
   std::atomic<uint64_t> v_{0};
+  TouchFlag touch_;
 };
 
 /// A point-in-time level (table size, cluster count, depth...).
 class Gauge {
  public:
-  void set(int64_t x) noexcept { v_.store(x, std::memory_order_relaxed); }
-  void add(int64_t d) noexcept { v_.fetch_add(d, std::memory_order_relaxed); }
+  void set(int64_t x) noexcept {
+    v_.store(x, std::memory_order_relaxed);
+    touch_.touch();
+  }
+  void add(int64_t d) noexcept {
+    v_.fetch_add(d, std::memory_order_relaxed);
+    touch_.touch();
+  }
   /// Raise the gauge to `x` if it is below it (high-water mark).
   void updateMax(int64_t x) noexcept {
     int64_t cur = v_.load(std::memory_order_relaxed);
     while (cur < x &&
            !v_.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
     }
+    touch_.touch();
   }
   [[nodiscard]] int64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
+  [[nodiscard]] bool touched() const noexcept { return touch_.touched(); }
+  void reset() noexcept {
+    v_.store(0, std::memory_order_relaxed);
+    touch_.clear();
+  }
 
  private:
   std::atomic<int64_t> v_{0};
+  TouchFlag touch_;
 };
 
 /// Log2-bucketed histogram: bucket 0 holds the value 0, bucket b >= 1
@@ -173,6 +208,7 @@ class Histogram {
   static constexpr int kBuckets = 65;  // 0, then one per bit width 1..64
 
   void record(uint64_t v) noexcept {
+    touch_.touch();
     buckets_[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
@@ -194,6 +230,7 @@ class Histogram {
   [[nodiscard]] uint64_t bucketCount(int b) const noexcept {
     return buckets_[b].load(std::memory_order_relaxed);
   }
+  [[nodiscard]] bool touched() const noexcept { return touch_.touched(); }
   void reset() noexcept;
 
   /// Which bucket a value lands in.
@@ -215,6 +252,7 @@ class Histogram {
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> max_{0};
+  TouchFlag touch_;
 };
 
 /// The process-wide named-metric registry. Registration (the first lookup
@@ -228,10 +266,13 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// Zero every metric (references stay valid). For tests and for
+  /// Zero every metric (references stay valid) and mark it untouched:
+  /// until it is written again, collect() leaves it out. For tests and for
   /// per-run deltas in drivers.
   void resetAll();
 
+  /// Every metric touched since its registration or the last reset, sorted
+  /// by name.
   [[nodiscard]] std::vector<MetricSample> collect() const;
 
  private:

@@ -83,6 +83,7 @@ void Histogram::reset() noexcept {
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
   max_.store(0, std::memory_order_relaxed);
+  touch_.clear();
 }
 
 std::vector<MetricSample> Registry::collect() const {
@@ -92,6 +93,7 @@ std::vector<MetricSample> Registry::collect() const {
   out.reserve(im.counterIdx.size() + im.gaugeIdx.size() +
               im.histogramIdx.size());
   for (const auto& [name, idx] : im.counterIdx) {
+    if (!im.counters[idx].touched()) continue;
     MetricSample s;
     s.name = name;
     s.kind = MetricSample::Kind::Counter;
@@ -99,6 +101,7 @@ std::vector<MetricSample> Registry::collect() const {
     out.push_back(std::move(s));
   }
   for (const auto& [name, idx] : im.gaugeIdx) {
+    if (!im.gauges[idx].touched()) continue;
     MetricSample s;
     s.name = name;
     s.kind = MetricSample::Kind::Gauge;
@@ -107,6 +110,7 @@ std::vector<MetricSample> Registry::collect() const {
   }
   for (const auto& [name, idx] : im.histogramIdx) {
     const Histogram& h = im.histograms[idx];
+    if (!h.touched()) continue;
     MetricSample s;
     s.name = name;
     s.kind = MetricSample::Kind::Histogram;

@@ -42,6 +42,8 @@ struct Replica {
   std::vector<Bdd> onionRings;
   std::vector<double> frontierStates;
   size_t reachSteps = 0;
+  /// The session's monitor bits: the transfer mirrors their variable ids.
+  MonitorBits monitorBits;
   /// Built on the worker thread (the don't-care minimization of the seeded
   /// reached set, made on the first preimage, runs there concurrently
   /// across replicas).
@@ -52,6 +54,7 @@ struct Replica {
 /// calling thread — serial-mode handle refcounts on the source manager are
 /// not synchronized, so transfers must not overlap.
 std::unique_ptr<Replica> buildReplica(Session& session, CtlChecker& primary,
+                                      const MonitorBits& monitorBits,
                                       size_t& transferredNodes) {
   auto rep = std::make_unique<Replica>();
   BddTransfer tx(session.manager(), rep->mgr);
@@ -67,6 +70,7 @@ std::unique_ptr<Replica> buildReplica(Session& session, CtlChecker& primary,
   rep->onionRings = tx.copy(primary.onionRings());
   rep->frontierStates = primary.frontierNewStates();
   rep->reachSteps = primary.lastStats().reachabilitySteps;
+  rep->monitorBits = monitorBits;
   transferredNodes += tx.copiedNodes();
   return rep;
 }
@@ -114,24 +118,25 @@ BatchReport checkBatch(Session& session,
     return out;
   }
 
-  bool anyCtl = false;
-  for (const PifProperty& p : properties)
-    anyCtl |= p.kind == PifProperty::Kind::Ctl;
-
   // Build everything shared up front, on this thread: the design machine,
-  // the primary checker, and — when any CTL property needs it — the
-  // reachability fixpoint that every replica is seeded with.
+  // the primary checker with the reachability fixpoint every replica is
+  // seeded with, and the monitor bits of the largest automaton.
   session.build();
   CtlChecker& primary = session.checker();
+  (void)primary.reached();
+  uint32_t monitorStates = 0;
+  for (const PifProperty& p : properties)
+    if (p.kind == PifProperty::Kind::Automaton)
+      monitorStates = std::max(monitorStates, p.aut.numStates());
+  MonitorBits monitorBits;
+  if (monitorStates > 0)
+    monitorBits = session.reserveMonitorBits(monitorStates);
   std::vector<std::unique_ptr<Replica>> replicas;
   uint64_t transferStart = nowMicros();
-  if (anyCtl) {
-    (void)primary.reached();
-    replicas.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w)
-      replicas.push_back(
-          buildReplica(session, primary, out.transferredNodes));
-  }
+  replicas.reserve(static_cast<size_t>(workers));
+  for (int w = 0; w < workers; ++w)
+    replicas.push_back(
+        buildReplica(session, primary, monitorBits, out.transferredNodes));
   out.transferMicros = nowMicros() - transferStart;
   HSIS_LOG_INFO("par.batch", "replicas built",
                 {{"workers", workers},
@@ -144,16 +149,15 @@ BatchReport checkBatch(Session& session,
   std::atomic<size_t> abortedCount{0};
   std::exception_ptr fatal;
   std::mutex fatalMu;
-  const blifmv::Model& flat = session.flatModel();
   const FairnessSpec& fairness = session.fairness();
   const Session::Options& opts = session.options();
 
   auto workerBody = [&](int w) {
     obs::TaskAbort slot;
     obs::bindTaskAbort(&slot);
-    Replica* rep = anyCtl ? replicas[static_cast<size_t>(w)].get() : nullptr;
+    Replica& rep = *replicas[static_cast<size_t>(w)];
     try {
-      if (rep != nullptr) finishReplica(*rep, opts);
+      finishReplica(rep, opts);
       for (;;) {
         if (options.requestAbort != nullptr &&
             options.requestAbort->requested()) {
@@ -179,11 +183,11 @@ BatchReport checkBatch(Session& session,
         uint64_t t0 = nowMicros();
         try {
           if (p.kind == PifProperty::Kind::Ctl) {
-            out.reports[i] =
-                Session::checkCtlOn(*rep->checker, p.name, p.ctl);
+            out.reports[i] = Session::checkCtlOn(*rep.checker, p.name, p.ctl);
           } else {
-            out.reports[i] = Session::checkAutomatonOn(flat, fairness, opts,
-                                                       p.name, p.aut);
+            out.reports[i] = Session::checkAutomatonOn(
+                *rep.fsm, rep.checker->reached(), rep.monitorBits, fairness,
+                opts, p.name, p.aut);
           }
         } catch (const obs::AbortedError& e) {
           if (obs::detail::g_abortRequested.load(std::memory_order_relaxed))

@@ -14,9 +14,10 @@
 // source manager, whose handle refcounts are not synchronized — then handed to the workers, which do the rest (checker
 // construction, don't-care minimization, the checks) fully concurrently.
 //
-// Language-containment properties need no replica: each LC check builds
-// its own product manager from the flattened model anyway (exactly like
-// Session::checkAutomaton), so any worker can take one.
+// Language-containment properties run on the replicas too: each composes
+// its monitor onto the replica's Fsm, on monitor bits the session reserved
+// before the transfer (for the largest automaton of the batch), and decides
+// its fair hull inside the replica's copy of the reached set.
 //
 // Abort semantics mirror hsis_serve's per-request contract: every worker
 // binds its own obs::TaskAbort slot, so a per-property abort (watchdog

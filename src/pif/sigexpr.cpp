@@ -187,7 +187,9 @@ SigExprRef parseSigExpr(const std::string& text) {
   return ExprParser(text).parse();
 }
 
-Bdd evalSigExpr(const SigExpr& e, const Fsm& fsm) {
+namespace {
+
+Bdd evalExpr(const SigExpr& e, const Fsm& fsm, bool wiresAllowed) {
   BddManager& mgr = fsm.mgr();
   switch (e.kind) {
     case SigExpr::Kind::True:
@@ -195,24 +197,26 @@ Bdd evalSigExpr(const SigExpr& e, const Fsm& fsm) {
     case SigExpr::Kind::False:
       return mgr.bddZero();
     case SigExpr::Kind::Not:
-      return !evalSigExpr(*e.args[0], fsm);
+      return !evalExpr(*e.args[0], fsm, wiresAllowed);
     case SigExpr::Kind::And:
-      return evalSigExpr(*e.args[0], fsm) & evalSigExpr(*e.args[1], fsm);
+      return evalExpr(*e.args[0], fsm, wiresAllowed) &
+             evalExpr(*e.args[1], fsm, wiresAllowed);
     case SigExpr::Kind::Or:
-      return evalSigExpr(*e.args[0], fsm) | evalSigExpr(*e.args[1], fsm);
+      return evalExpr(*e.args[0], fsm, wiresAllowed) |
+             evalExpr(*e.args[1], fsm, wiresAllowed);
     case SigExpr::Kind::Atom: {
       std::optional<MvVarId> var = fsm.signalVar(e.signal);
       if (!var.has_value())
         throw std::runtime_error("property references unknown signal " +
                                  e.signal);
-      // Atoms must be state predicates: combinational signals are
-      // existentially quantified out of the transition relation, so a set
-      // over them would not survive image computation. (Automaton edge
-      // guards may reference any signal — they are composed into the
-      // product at the table level instead.)
+      // CTL atoms and fairness constraints must be state predicates:
+      // combinational signals are existentially quantified out of the
+      // transition relation, so a set over them would not survive image
+      // computation. (Automaton edge guards may reference any signal — they
+      // are conjoined into the product relation instead.)
       bool isState = false;
       for (MvVarId sv : fsm.stateVars()) isState = isState || sv == *var;
-      if (!isState)
+      if (!isState && !wiresAllowed)
         throw std::runtime_error(
             "signal " + e.signal +
             " is combinational; CTL atoms and fairness constraints must "
@@ -235,6 +239,16 @@ Bdd evalSigExpr(const SigExpr& e, const Fsm& fsm) {
     }
   }
   return mgr.bddZero();
+}
+
+}  // namespace
+
+Bdd evalSigExpr(const SigExpr& e, const Fsm& fsm) {
+  return evalExpr(e, fsm, false);
+}
+
+Bdd evalGuardExpr(const SigExpr& e, const Fsm& fsm) {
+  return evalExpr(e, fsm, true);
 }
 
 }  // namespace hsis

@@ -44,11 +44,16 @@ SigExprRef sigOr(SigExprRef a, SigExprRef b);
 /// Parse the expression language above. Throws std::runtime_error.
 SigExprRef parseSigExpr(const std::string& text);
 
-/// Evaluate to a BDD over the FSM's signal variables. Unknown signals or
-/// out-of-domain values throw std::runtime_error.
+/// Evaluate to a BDD over the FSM's latch-output variables. Unknown or
+/// combinational signals and out-of-domain values throw std::runtime_error.
 Bdd evalSigExpr(const SigExpr& e, const Fsm& fsm);
 inline Bdd evalSigExpr(const SigExprRef& e, const Fsm& fsm) {
   return evalSigExpr(*e, fsm);
 }
+
+/// As evalSigExpr, but atoms may also name combinational signals: the
+/// form of automaton edge guards, which become a conjunct of the product
+/// relation and so are quantified with the design's own wires.
+Bdd evalGuardExpr(const SigExpr& e, const Fsm& fsm);
 
 }  // namespace hsis

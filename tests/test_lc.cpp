@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include "blifmv/blifmv.hpp"
+#include "hsis/session.hpp"
 #include "lc/lc.hpp"
+#include "models/models.hpp"
+#include "pif/pif.hpp"
 #include "vl2mv/vl2mv.hpp"
 
 namespace hsis {
@@ -53,6 +56,17 @@ TEST(Automaton, DeadStates) {
   EXPECT_FALSE(bd[1]);
 }
 
+/// A one-wire design for the monitor-build tests: x is a free ($ND-style)
+/// binary wire, so a guard over x is enumerated over both of its values.
+Fsm oneWireDesign(BddManager& mgr) {
+  return Fsm(mgr, blifmv::flatten(blifmv::parse(R"(
+.model m
+.table x
+(0,1)
+.end
+)")));
+}
+
 TEST(Automaton, ErrorsAndChecks) {
   Automaton aut("t");
   aut.addState("A");
@@ -61,12 +75,14 @@ TEST(Automaton, ErrorsAndChecks) {
   EXPECT_THROW(aut.addEdge("A", "Z", sigTrue()), std::runtime_error);
   EXPECT_THROW(aut.addRabinPair({"Z"}, {}), std::runtime_error);
 
-  blifmv::Model flat;
+  BddManager mgr;
+  Fsm design = oneWireDesign(mgr);
+  MonitorBits bits;
   // no acceptance condition
   Automaton na("na");
   na.addState("A");
   na.addEdge("A", "A", sigTrue());
-  EXPECT_THROW(na.compose(flat, "_m"), std::runtime_error);
+  EXPECT_THROW((void)na.monitorProduct(design, bits), std::runtime_error);
   // nondeterministic guards
   Automaton nd("nd");
   nd.addState("A");
@@ -75,33 +91,58 @@ TEST(Automaton, ErrorsAndChecks) {
   nd.addEdge("A", "B", parseSigExpr("x=1"));
   nd.addEdge("B", "B", sigTrue());
   nd.setStayAcceptance({"A"});
-  EXPECT_THROW(nd.compose(flat, "_m"), std::runtime_error);
+  EXPECT_THROW((void)nd.monitorProduct(design, bits), std::runtime_error);
   // incomplete guards
   Automaton inc("inc");
   inc.addState("A");
   inc.addEdge("A", "A", parseSigExpr("x=1"));
   inc.setStayAcceptance({"A"});
-  EXPECT_THROW(inc.compose(flat, "_m"), std::runtime_error);
+  EXPECT_THROW((void)inc.monitorProduct(design, bits), std::runtime_error);
+  // a rejected automaton reserves no monitor bits
+  EXPECT_TRUE(bits.present().empty());
 }
 
 TEST(Automaton, ComposeBuildsMonitor) {
-  blifmv::Model flat = blifmv::flatten(blifmv::parse(R"(
-.model m
-.table x
-(0,1)
-.end
-)"));
-  Automaton aut = figure2Automaton("x=1");
-  aut.compose(flat, "_monitor");
-  ASSERT_EQ(flat.latches.size(), 1u);
-  EXPECT_EQ(flat.latches[0].output, "_monitor");
-  EXPECT_EQ(flat.latches[0].resetValues, std::vector<std::string>{"A"});
-  ASSERT_NE(flat.declOf("_monitor"), nullptr);
-  EXPECT_EQ(flat.declOf("_monitor")->domain, 2u);
-  EXPECT_EQ(flat.declOf("_monitor")->valueNames,
+  BddManager mgr;
+  Fsm design = oneWireDesign(mgr);
+  MonitorBits bits;
+  Fsm product = figure2Automaton("x=1").monitorProduct(design, bits);
+  // exactly one MV latch over the automaton's states, reset to its initial
+  // state, on the reserved bits
+  ASSERT_EQ(product.numLatches(), design.numLatches() + 1);
+  const MvVarId m = product.stateVar(product.numLatches() - 1);
+  EXPECT_EQ(product.latchName(product.numLatches() - 1), "_monitor");
+  EXPECT_EQ(product.space().domain(m), 2u);
+  EXPECT_EQ(product.space().valueNames(m),
             (std::vector<std::string>{"A", "B"}));
-  // 2 assignments of x times 2 states = 4 rows
-  EXPECT_EQ(flat.tables.back().rows.size(), 4u);
+  EXPECT_EQ(product.space().bits(m), bits.present());
+  EXPECT_EQ(product.initialStates(),
+            design.initialStates() & product.space().literal(m, 0));
+  // one relation more than the design: the monitor's next state
+  EXPECT_EQ(product.relations().size(), design.relations().size() + 1);
+  // the design itself is untouched
+  EXPECT_EQ(design.numLatches(), 0u);
+}
+
+TEST(Automaton, MonitorBitsAreReused) {
+  BddManager mgr;
+  Fsm design = oneWireDesign(mgr);
+  MonitorBits bits;
+  (void)figure2Automaton("x=1").monitorProduct(design, bits);
+  const uint32_t vars = mgr.numVars();
+  (void)figure2Automaton("x=0").monitorProduct(design, bits);
+  EXPECT_EQ(mgr.numVars(), vars);
+  // a larger automaton extends the reservation, directly below it
+  Automaton three("three");
+  for (const char* s : {"a", "b", "c"}) three.addState(s);
+  three.addEdge("a", "b", sigTrue());
+  three.addEdge("b", "c", sigTrue());
+  three.addEdge("c", "c", sigTrue());
+  three.setBuchiAcceptance({"c"});
+  (void)three.monitorProduct(design, bits);
+  EXPECT_EQ(mgr.numVars(), vars + 2);
+  ASSERT_EQ(bits.present().size(), 2u);
+  EXPECT_EQ(mgr.level(bits.present()[1]), mgr.level(bits.next()[0]) + 1);
 }
 
 // ------------------------------------------------------------ containment
@@ -334,9 +375,154 @@ TEST(Lc, MonitorNameAvoidsCollision) {
 - =_monitor
 .end
 )"));
-  // design already uses "_monitor": the checker must pick another name
-  LcChecker lc(mgr, flat, figure2Automaton("x=1"));
-  EXPECT_NE(lc.monitorSignal(), "_monitor");
+  // The design already uses "_monitor": guards still read the design's
+  // signal, never the monitor latch.
+  LcChecker lc(mgr, flat, figure2Automaton("_monitor=1"));
+  std::optional<MvVarId> sig = lc.fsm().signalVar("_monitor");
+  ASSERT_TRUE(sig.has_value());
+  EXPECT_NE(*sig, lc.fsm().stateVar(lc.fsm().numLatches() - 1));
+  EXPECT_FALSE(lc.check().contained);  // the wire can be 1
+}
+
+TEST(Lc, EmptyHullSkipsProductReachability) {
+  BddManager mgr;
+  auto flat = blifmv::flatten(blifmv::parse(kCounter));
+  Automaton live("live");
+  live.addState("wait");
+  live.addState("seen");
+  live.addEdge("wait", "seen", parseSigExpr("s=3"));
+  live.addEdge("wait", "wait", parseSigExpr("s!=3"));
+  live.addEdge("seen", "seen", parseSigExpr("s=3"));
+  live.addEdge("seen", "wait", parseSigExpr("s!=3"));
+  live.setBuchiAcceptance({"seen"});
+  LcChecker lc(mgr, flat, live);
+  LcResult r = lc.check();
+  EXPECT_TRUE(r.contained);
+  EXPECT_GT(r.stats.hullIterations, 0u);
+  EXPECT_EQ(r.stats.reachabilitySteps, 0u);
+  EXPECT_EQ(r.stats.reachedStates, 0.0);
+}
+
+TEST(Lc, DeadStateSafetyWithAndWithoutEarlyFailure) {
+  auto flat = blifmv::flatten(blifmv::parse(kCounter));
+  for (bool efd : {true, false}) {
+    LcOptions opts;
+    opts.earlyFailureDetection = efd;
+    {
+      // Passes with a non-empty hull over S (the dead state B traps every
+      // design state) that the product never reaches: the product
+      // reachability runs to its fixpoint.
+      BddManager mgr;
+      LcChecker lc(mgr, flat, figure2Automaton("out=1 & s=1"), {}, opts);
+      LcResult r = lc.check();
+      EXPECT_TRUE(r.contained) << "efd=" << efd;
+      EXPECT_FALSE(r.stats.usedEarlyFailure) << "efd=" << efd;
+      EXPECT_EQ(r.stats.reachabilitySteps, 3u) << "efd=" << efd;
+      EXPECT_EQ(r.stats.reachedStates, 4.0) << "efd=" << efd;
+    }
+    {
+      // Fails: with EFD the exploration stops at the first frontier in the
+      // hull (the initial state already is), without it at the fixpoint:
+      // 0..3 in A, then 0..3 in B, seven steps for eight product states.
+      BddManager mgr;
+      LcChecker lc(mgr, flat, figure2Automaton("out=1"), {}, opts);
+      LcResult r = lc.check();
+      EXPECT_FALSE(r.contained) << "efd=" << efd;
+      EXPECT_EQ(r.stats.usedEarlyFailure, efd);
+      EXPECT_EQ(r.stats.reachabilitySteps, efd ? 0u : 7u) << "efd=" << efd;
+      EXPECT_EQ(r.stats.reachedStates, efd ? 1.0 : 8.0) << "efd=" << efd;
+      ASSERT_TRUE(r.trace.has_value()) << "efd=" << efd;
+      EXPECT_TRUE(r.trace->isLasso());
+      // the lasso reaches the dead state B
+      bool sawB = false;
+      for (const auto& st : r.trace->states)
+        sawB |= lc.fsm().decodeState(st).back() == 1;
+      EXPECT_TRUE(sawB) << "efd=" << efd;
+    }
+  }
+}
+
+TEST(Lc, GuardsReadNondeterministicWires) {
+  // pingpong's ping_hits is (ball == ping_side) && $ND(0, 1): a guard over
+  // it reads a wire that the design's own clusters quantify away. The
+  // verdicts below are the ones the earlier text composition of the monitor
+  // into the BLIF-MV model gave.
+  const char* kPif = R"(
+automaton hit_lands {
+  state idle init;
+  state hit;
+  state bad;
+  edge idle -> hit on "ping_hits";
+  edge idle -> idle on "!ping_hits";
+  edge hit -> idle on "ball=to_pong & !ping_hits";
+  edge hit -> hit on "ball=to_pong & ping_hits";
+  edge hit -> bad on "ball!=to_pong";
+  edge bad -> bad on "1";
+  accept stay idle, hit;
+}
+automaton ping_never_hits {
+  state ok init;
+  state bad;
+  edge ok -> ok on "!ping_hits";
+  edge ok -> bad on "ping_hits";
+  edge bad -> bad on "1";
+  accept stay ok;
+}
+automaton hits_forever {
+  state wait init;
+  state seen;
+  edge wait -> seen on "ping_hits";
+  edge wait -> wait on "!ping_hits";
+  edge seen -> seen on "ping_hits";
+  edge seen -> wait on "!ping_hits";
+  accept buchi seen;
+}
+)";
+  const models::ModelDef* m = models::find("pingpong");
+  ASSERT_NE(m, nullptr);
+  PifFile props = parsePif(kPif);
+  FairnessSpec fair = parsePif(std::string(m->pif)).fairness;
+  for (bool withFairness : {true, false}) {
+    for (bool efd : {true, false}) {
+      Session::Options opts;
+      opts.earlyFailureDetection = efd;
+      Session s(opts);
+      s.load(Session::DesignSource::verilog(std::string(m->verilog),
+                                            std::string(m->top)));
+      if (withFairness) s.setFairness(fair);
+      const std::string tag = std::string(withFairness ? "fair" : "unfair") +
+                              (efd ? "/efd" : "/full");
+      EXPECT_TRUE(s.check(props.properties[0]).holds) << tag;
+      EXPECT_FALSE(s.check(props.properties[1]).holds) << tag;
+      // Büchi on the wire: holds only when a player may not keep the ball
+      EXPECT_EQ(s.check(props.properties[2]).holds, withFairness) << tag;
+    }
+  }
+}
+
+TEST(Lc, RepeatedChecksDoNotGrowTheVariableSpace) {
+  const models::ModelDef* m = models::find("pingpong");
+  ASSERT_NE(m, nullptr);
+  PifFile pif = parsePif(std::string(m->pif));
+  const PifProperty* lcProp = nullptr;
+  for (const PifProperty& p : pif.properties)
+    if (p.kind == PifProperty::Kind::Automaton && p.aut.numStates() == 5)
+      lcProp = &p;
+  ASSERT_NE(lcProp, nullptr);
+  Session s;
+  s.load(Session::DesignSource::verilog(std::string(m->verilog),
+                                        std::string(m->top)));
+  s.setFairness(pif.fairness);
+  ASSERT_TRUE(s.check(*lcProp).holds);
+  const uint32_t vars = s.manager().numVars();
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(s.check(*lcProp).holds);
+    EXPECT_EQ(s.manager().numVars(), vars) << "check " << i + 2;
+  }
+  // a smaller automaton reuses the same bits
+  for (const PifProperty& p : pif.properties)
+    if (p.kind == PifProperty::Kind::Automaton) (void)s.check(p);
+  EXPECT_EQ(s.manager().numVars(), vars);
 }
 
 }  // namespace

@@ -146,6 +146,36 @@ TEST(ObsRegistry, CollectIsSortedAndTyped) {
   EXPECT_FALSE(h->buckets.empty());
 }
 
+TEST(ObsRegistry, SnapshotListsOnlyMetricsTouchedSinceReset) {
+  counter("test.obs.touch.c").add(3);
+  gauge("test.obs.touch.g").set(7);
+  histogram("test.obs.touch.h").record(5);
+  gauge("test.obs.touch.zero").set(1);
+  resetAll();
+  gauge("test.obs.touch.zero").set(0);  // measured 0, not "not measured"
+  auto listed = [](const std::string& n) {
+    for (const MetricSample& s : Registry::instance().collect())
+      if (s.name == n) return true;
+    return false;
+  };
+  if (!kEnabled) {
+    EXPECT_TRUE(Registry::instance().collect().empty());
+    return;
+  }
+  EXPECT_FALSE(listed("test.obs.touch.c"));
+  EXPECT_FALSE(listed("test.obs.touch.g"));
+  EXPECT_FALSE(listed("test.obs.touch.h"));
+  EXPECT_TRUE(listed("test.obs.touch.zero"));
+  const std::string json = snapshotJson();
+  EXPECT_EQ(json.find("test.obs.touch.c"), std::string::npos);
+  EXPECT_NE(json.find("test.obs.touch.zero"), std::string::npos);
+  // Writing again lists a metric again; a fresh registration is listed.
+  histogram("test.obs.touch.h").record(1);
+  (void)counter("test.obs.touch.fresh");
+  EXPECT_TRUE(listed("test.obs.touch.h"));
+  EXPECT_TRUE(listed("test.obs.touch.fresh"));
+}
+
 // ---------------------------------------------------------------- spans
 
 TEST(ObsSpan, NestingAndTiming) {
